@@ -149,22 +149,24 @@ void BM_LeafPartitionRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafPartitionRebuild)->Arg(400)->Arg(1600)->Arg(6400)->Complexity();
 
-// --- E10 follow-up: OverlayView boundary splice, batched vs per-boundary --
+// --- E10 follow-up: OverlayView leaf enumeration under overlays ----------
 
 // A fixed 6400-word edition plus one overlay carrying `boundaries` fresh
-// cuts (arg 0): what an analyze-string() call with many matches queues on
-// the evaluation's view before its first leaf() step.
-struct SpliceFixture {
+// cuts (arg 0): what an analyze-string() call with many matches registers
+// on the evaluation's view before a leaf() step.
+struct OverlayFixture {
   std::unique_ptr<mhx::MultihierarchicalDocument> doc;
   std::shared_ptr<mhx::goddag::OverlayIdAllocator> ids;
   std::shared_ptr<const mhx::goddag::GoddagOverlay> overlay;
+  // The range of one word in the middle of the text, overlay cuts inside.
+  mhx::TextRange word;
 };
 
-SpliceFixture* MakeSpliceFixture(size_t boundaries) {
-  static auto* cache = new std::map<size_t, SpliceFixture*>();
+OverlayFixture* MakeOverlayFixture(size_t boundaries) {
+  static auto* cache = new std::map<size_t, OverlayFixture*>();
   auto it = cache->find(boundaries);
   if (it != cache->end()) return it->second;
-  auto* fx = new SpliceFixture();
+  auto* fx = new OverlayFixture();
   mhx::workload::EditionConfig config;
   config.seed = 7;
   config.word_count = 6400;
@@ -172,7 +174,8 @@ SpliceFixture* MakeSpliceFixture(size_t boundaries) {
   if (!doc.ok()) std::abort();
   fx->doc = std::make_unique<mhx::MultihierarchicalDocument>(
       std::move(doc).value());
-  fx->doc->goddag().leaves();  // materialise, as the engine does
+  const mhx::goddag::KyGoddag& goddag = fx->doc->goddag();
+  goddag.leaves();  // materialise, as the engine does
   fx->ids = std::make_shared<mhx::goddag::OverlayIdAllocator>();
   // boundaries/2 disjoint elements, each contributing two interior cuts at
   // odd offsets (word cells are multi-character, so odd positions split).
@@ -187,70 +190,47 @@ SpliceFixture* MakeSpliceFixture(size_t boundaries) {
         mhx::goddag::VirtualElement{"m", mhx::TextRange(begin, begin + 2),
                                     {}});
   }
+  // The middle <w>, plus one element splitting it: the word analyze-string
+  // just re-partitioned.
+  std::vector<mhx::TextRange> words;
+  for (mhx::goddag::NodeId id = 0; id < goddag.node_table_size(); ++id) {
+    const mhx::goddag::GNode& node = goddag.node(id);
+    if (node.kind == mhx::goddag::GNodeKind::kElement && node.name == "w") {
+      words.push_back(node.range);
+    }
+  }
+  if (words.empty()) std::abort();
+  std::sort(words.begin(), words.end());
+  fx->word = words[words.size() / 2];
+  if (fx->word.length() < 3) std::abort();
+  elements.push_back(mhx::goddag::VirtualElement{
+      "a", mhx::TextRange(fx->word.begin + 1, fx->word.begin + 2), {}});
   auto overlay = mhx::goddag::GoddagOverlay::Create(
-      &fx->doc->goddag(), fx->ids, "m", std::move(elements));
+      &goddag, fx->ids, "m", std::move(elements));
   if (!overlay.ok()) std::abort();
   fx->overlay = *overlay;
   (*cache)[boundaries] = fx;
   return fx;
 }
 
-// The shipped path: OverlayView::leaves() drains all queued boundaries in
-// one batched sorted merge pass — O(partition + N).
-void BM_OverlaySplice_Batched(benchmark::State& state) {
-  SpliceFixture* fx = MakeSpliceFixture(state.range(0));
-  size_t cells = 0;
+// One leaf() step over one word, in a fresh view holding an N-boundary
+// overlay — the shape of every analyze-string() loop binding. The cost is
+// the drain of the view's cuts plus a binary search and the word's cells,
+// never a pass over the 6400-word partition.
+void BM_OverlayLeavesIn(benchmark::State& state) {
+  OverlayFixture* fx = MakeOverlayFixture(state.range(0));
+  std::vector<mhx::goddag::Leaf> cells;
   for (auto _ : state) {
     mhx::goddag::OverlayView view(&fx->doc->goddag());
     view.AddOverlay(fx->overlay);
-    cells = view.leaves().size();
-    benchmark::DoNotOptimize(cells);
+    cells.clear();
+    view.AppendLeavesIn(fx->word, &cells);
+    benchmark::DoNotOptimize(cells.data());
   }
-  state.counters["merged_cells"] = static_cast<double>(cells);
+  state.counters["leaf_cells"] = static_cast<double>(cells.size());
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_OverlaySplice_Batched)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Complexity();
-
-// The pre-batching algorithm, reproduced here as the ablation baseline:
-// one binary search + vector insert per boundary, O(partition) each —
-// O(partition * N) per drain. The batched path must beat this from ~64
-// boundaries up.
-void BM_OverlaySplice_PerBoundaryInsert(benchmark::State& state) {
-  SpliceFixture* fx = MakeSpliceFixture(state.range(0));
-  const auto& base_leaves = fx->doc->goddag().leaves();
-  const size_t n = fx->doc->base_text().size();
-  size_t cells = 0;
-  for (auto _ : state) {
-    std::vector<mhx::goddag::Leaf> merged = base_leaves;
-    const auto& overlay = *fx->overlay;
-    for (mhx::goddag::NodeId id = overlay.root(); id < overlay.id_end();
-         ++id) {
-      const mhx::TextRange& range = overlay.node(id).range;
-      for (size_t pos : {range.begin, range.end}) {
-        if (pos == 0 || pos >= n) continue;
-        auto it = std::upper_bound(
-            merged.begin(), merged.end(), pos,
-            [](size_t p, const mhx::goddag::Leaf& leaf) {
-              return p < leaf.range.end;
-            });
-        if (it == merged.end() || it->range.begin >= pos) continue;
-        const size_t leaf_end = it->range.end;
-        it->range.end = pos;
-        merged.insert(it + 1, mhx::goddag::Leaf{mhx::TextRange(pos, leaf_end)});
-      }
-    }
-    cells = merged.size();
-    benchmark::DoNotOptimize(cells);
-  }
-  state.counters["merged_cells"] = static_cast<double>(cells);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_OverlaySplice_PerBoundaryInsert)
+BENCHMARK(BM_OverlayLeavesIn)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)

@@ -129,82 +129,83 @@ void OverlayView::AddOverlay(std::shared_ptr<const GoddagOverlay> overlay) {
       [](NodeId begin, const std::shared_ptr<const GoddagOverlay>& o) {
         return begin < o->id_begin();
       });
-  overlays_.insert(it, overlay);
-  unspliced_.push_back(std::move(overlay));
+  queued_.push_back(overlay.get());
+  overlays_.insert(it, std::move(overlay));
 }
 
-const std::vector<Leaf>& OverlayView::leaves() const {
-  if (!has_overlays()) return inherited_leaves();
-  // Workers sharing the view may race the first materialisation; in the
-  // steady state this is an empty-queue check under an uncontended mutex.
-  // AddOverlay (owner only, never concurrent with readers) just queues.
-  std::lock_guard<std::mutex> lock(leaves_mu_);
-  if (!merged_init_) {
-    merged_leaves_ = inherited_leaves();
-    merged_init_ = true;
-  }
-  if (!unspliced_.empty()) SpliceQueuedBoundaries();
-  return merged_leaves_;
-}
-
-void OverlayView::SpliceQueuedBoundaries() const {
-  // Boundaries only accumulate within a view, so each overlay is spliced
-  // exactly once no matter how AddOverlay calls interleave with leaf()
-  // steps. The drain is batched: collect every queued boundary, sort once,
-  // then rewrite the partition in a single merge pass — O(partition + N)
-  // for N boundaries where the former per-boundary vector insert paid
-  // O(partition) each. (Each root's 0/n boundaries are partition edges
-  // already, so they are filtered with the other no-op cuts below.)
-  const size_t text_size = base_->base_text().size();
-  std::vector<size_t> cuts;
-  for (const auto& overlay : unspliced_) {
-    cuts.reserve(cuts.size() + 2 * overlay->node_count());
-    for (NodeId id = overlay->root(); id < overlay->id_end(); ++id) {
-      const TextRange& range = overlay->node(id).range;
-      if (range.begin > 0 && range.begin < text_size) {
-        cuts.push_back(range.begin);
+void OverlayView::AppendOwnCutsIn(const TextRange& range,
+                                  std::vector<size_t>* out) const {
+  // Workers sharing the view may race the first drain; in the steady state
+  // this is an empty-queue check under an uncontended mutex. AddOverlay
+  // (owner only, never concurrent with readers) just queues.
+  std::lock_guard<std::mutex> lock(cuts_mu_);
+  if (!queued_.empty()) {
+    // One sort of the new boundaries plus one merge into the sorted list,
+    // however many overlays queued up since the last drain. The plumbing
+    // root spans the whole text, so its 0/n cuts are skipped.
+    const size_t old_size = cuts_.size();
+    for (const GoddagOverlay* overlay : queued_) {
+      for (NodeId id = overlay->elements_begin(); id < overlay->id_end();
+           ++id) {
+        cuts_.push_back(overlay->node(id).range.begin);
+        cuts_.push_back(overlay->node(id).range.end);
       }
-      if (range.end > 0 && range.end < text_size) cuts.push_back(range.end);
     }
+    queued_.clear();
+    std::sort(cuts_.begin() + old_size, cuts_.end());
+    std::inplace_merge(cuts_.begin(), cuts_.begin() + old_size, cuts_.end());
+    cuts_.erase(std::unique(cuts_.begin(), cuts_.end()), cuts_.end());
   }
-  unspliced_.clear();
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  if (cuts.empty()) return;
+  auto lo = std::lower_bound(cuts_.cbegin(), cuts_.cend(), range.begin);
+  auto hi = std::upper_bound(lo, cuts_.cend(), range.end);
+  out->insert(out->end(), lo, hi);
+}
 
-  // Rewrite the partition around the cuts: unaffected cell runs between
-  // consecutive cuts bulk-copy (memmove fast path), only the cells a cut
-  // actually splits are rebuilt piecewise — O(N log P) search plus one
-  // O(P + N) copy, where the old per-boundary path paid an O(P) vector
-  // insert for every boundary.
-  std::vector<Leaf> merged;
-  merged.reserve(merged_leaves_.size() + cuts.size());
-  auto rest = merged_leaves_.cbegin();  // first cell not yet emitted
-  for (auto cut = cuts.cbegin(); cut != cuts.cend();) {
-    // The cell containing this cut: the first with end > cut, at or after
-    // `rest` (cuts ascend, so the search window only narrows).
-    auto cell = std::upper_bound(rest, merged_leaves_.cend(), *cut,
-                                 [](size_t pos, const Leaf& leaf) {
-                                   return pos < leaf.range.end;
-                                 });
-    merged.insert(merged.end(), rest, cell);
-    rest = cell;
-    if (cell == merged_leaves_.cend()) break;
-    if (cell->range.begin >= *cut) {
-      ++cut;  // an existing boundary — no-op
-      continue;
-    }
-    // Split this cell at every cut inside it.
-    size_t begin = cell->range.begin;
-    for (; cut != cuts.cend() && *cut < cell->range.end; ++cut) {
-      merged.push_back(Leaf{TextRange(begin, *cut)});
-      begin = *cut;
-    }
-    merged.push_back(Leaf{TextRange(begin, cell->range.end)});
-    rest = cell + 1;
+void OverlayView::AppendLeavesIn(const TextRange& range,
+                                 std::vector<Leaf>* out) const {
+  const std::vector<Leaf>& cells = base_->leaves();
+  if (range.empty() || cells.empty()) return;
+  // The overlay cuts inside [begin, end] visible to this view: its own and
+  // every ancestor's.
+  std::vector<size_t> cuts;
+  for (const OverlayView* view = this; view != nullptr;
+       view = view->parent_) {
+    if (view->has_overlays()) view->AppendOwnCutsIn(range, &cuts);
   }
-  merged.insert(merged.end(), rest, merged_leaves_.cend());
-  merged_leaves_ = std::move(merged);
+  std::sort(cuts.begin(), cuts.end());
+
+  // The merged partition's boundaries inside [begin, end] are the base
+  // boundaries there (every cell's begin, plus the text end) united with
+  // the cuts; each pair of consecutive ones is a cell wholly inside the
+  // range, and every such cell is one of those pairs. Merge the two sorted
+  // streams, skipping positions equal to the previous one.
+  size_t next = static_cast<size_t>(
+      std::lower_bound(cells.begin(), cells.end(), range.begin,
+                       [](const Leaf& leaf, size_t pos) {
+                         return leaf.range.begin < pos;
+                       }) -
+      cells.begin());
+  auto base_boundary = [&cells](size_t i) {
+    return i < cells.size() ? cells[i].range.begin : cells.back().range.end;
+  };
+  auto cut = cuts.cbegin();
+  bool started = false;
+  size_t prev = 0;
+  while (true) {
+    const bool base_left =
+        next <= cells.size() && base_boundary(next) <= range.end;
+    const bool cut_left = cut != cuts.cend();
+    if (!base_left && !cut_left) break;
+    size_t pos;
+    if (base_left && (!cut_left || base_boundary(next) <= *cut)) {
+      pos = base_boundary(next++);
+    } else {
+      pos = *cut++;
+    }
+    if (started && pos > prev) out->push_back(Leaf{TextRange(prev, pos)});
+    prev = pos;
+    started = true;
+  }
 }
 
 const GoddagOverlay* OverlayView::overlay_of(NodeId id) const {

@@ -12,8 +12,8 @@
 // never collide with base ids or with each other. An OverlayView is the
 // single node-resolution seam readers go through: it resolves base ids
 // against the KyGoddag, overlay ids against the (few) overlays registered
-// with it, and maintains the merged leaf partition (base leaves re-split at
-// overlay element boundaries).
+// with it, and enumerates the leaf partition the evaluation sees (base
+// leaves re-split at overlay element boundaries) one range at a time.
 //
 // Lifetime rules: an overlay is immutable after Create and refcounted
 // (shared_ptr); it releases its id block on destruction. A view registers
@@ -143,22 +143,27 @@ class GoddagOverlay {
 // The read seam of one evaluation: an immutable base KyGoddag plus every
 // overlay visible to the evaluation (hierarchies kept by earlier
 // EvaluateKeepingTemporaries calls, then the evaluation's own). Node
-// resolution, node-to-string, and the leaf partition all go through here.
+// resolution, node-to-string, and leaf enumeration all go through here.
 //
-// Views form a fork tree: a parallel worker forks a child view off the
-// coordinator's view and registers its own overlays there, so
-// analyze-string() inside a fanned-out binding body writes worker-private
-// state only. A child resolves ids it does not own — and reads the leaf
-// partition it re-splits — through its parent, so the coordinator's
-// overlays stay visible without being copied. At join the engine re-adds
-// the workers' overlays to the coordinator's view in binding order.
+// Views form a fork tree: a parallel worker (or a serial loop binding)
+// forks a child view off the enclosing view and registers its own overlays
+// there, so analyze-string() inside a binding body writes binding-private
+// state only. A child resolves ids it does not own — and reads the overlay
+// cuts it does not own — through its parent, so the enclosing overlays stay
+// visible without being copied. At join the engine re-adds the bindings'
+// overlays to the enclosing view in binding order.
+//
+// No view ever materialises a whole merged partition: AppendLeavesIn splits
+// only the base cells inside the requested range, at the overlay cuts
+// inside it, so a leaf() step costs O(log partition + cells in range) no
+// matter how long the document is or how many views hang off it.
 //
 // Not thread-safe for mutation: AddOverlay may only be called by the
 // evaluation (or worker) that owns the view, never concurrently with its
 // readers. A parent view must be frozen — no AddOverlay — while forked
 // children exist; the engine guarantees this because the forking evaluator
 // blocks in the join for as long as its workers run. Reads are const and
-// safe to share across threads (the lazily merged leaf partition is
+// safe to share across threads (the lazily sorted cut list is
 // mutex-guarded).
 class OverlayView {
  public:
@@ -168,8 +173,8 @@ class OverlayView {
   explicit OverlayView(const KyGoddag* base) : base_(base) {}
 
   // Forks a worker-private child view: ids the child does not own resolve
-  // through `parent` (recursively up the fork tree), and the child's leaf
-  // partition starts from the parent's merged partition. `parent` must
+  // through `parent` (recursively up the fork tree), and its leaves are
+  // split at the parent chain's cuts as well as its own. `parent` must
   // outlive the child and stay frozen while the child exists.
   explicit OverlayView(const OverlayView* parent)
       : base_(parent->base_), parent_(parent) {}
@@ -186,13 +191,10 @@ class OverlayView {
   NodeId root() const { return base_->root(); }
 
   // Registers an overlay (kept sorted by id_begin for binary-search
-  // resolution) and queues it for the merged leaf partition, which is
-  // spliced lazily by the next leaves() call: all queued overlays'
-  // boundaries are folded in one batched sorted pass (O(partition + N) for
-  // N boundaries, not O(partition * N) per-boundary inserts). Evaluations
-  // that never run a leaf() step pay nothing for their overlays. Requires
-  // the base leaf partition to be materialised (the engine does this
-  // before evaluation starts).
+  // resolution) and queues its element boundaries for the view's sorted
+  // cut list, which the next AppendLeavesIn drains in one sort-and-merge
+  // pass. Evaluations that never run a leaf() step pay nothing for their
+  // overlays.
   void AddOverlay(std::shared_ptr<const GoddagOverlay> overlay);
 
   // Overlays registered on THIS view — a forked child's parents hold
@@ -217,39 +219,34 @@ class OverlayView {
   // Base-text content dominated by a node (any namespace).
   std::string NodeString(NodeId id) const;
 
-  // The leaf partition this evaluation sees: the parent partition (or, for
-  // a root view, the base partition) re-split at every own-overlay element
-  // boundary, in text order. Without own overlays this is the parent/base
-  // partition itself, no copy; with overlays the merged partition
-  // materialises on first use (mutex-guarded: parallel workers sharing the
-  // view may race the first call, and leaf() steps are parallel-safe).
-  const std::vector<Leaf>& leaves() const;
+  // Appends, in text order, every cell of the leaf partition this view
+  // sees — the base partition re-split at every element boundary of every
+  // overlay on this view and its parent chain — that lies wholly inside
+  // `range`, starting at the first cell whose begin is >= range.begin.
+  // For a node's range these cells tile the range exactly (node boundaries
+  // are leaf boundaries); a range beginning or ending inside a cell skips
+  // that partial cell. Requires the base leaf partition to be
+  // materialised (the engine does this before evaluation starts).
+  void AppendLeavesIn(const TextRange& range, std::vector<Leaf>* out) const;
 
  private:
-  // The partition this view's own splices start from: the parent's merged
-  // partition for forked views, the base partition otherwise.
-  const std::vector<Leaf>& inherited_leaves() const {
-    return parent_ != nullptr ? parent_->leaves() : base_->leaves();
-  }
-  // Folds every queued overlay's boundaries into merged_leaves_ in one
-  // sorted pass. Caller holds leaves_mu_.
-  void SpliceQueuedBoundaries() const;
+  // Appends this view's own cuts inside [range.begin, range.end], sorted,
+  // draining the overlays queued by AddOverlay first.
+  void AppendOwnCutsIn(const TextRange& range, std::vector<size_t>* out) const;
 
   const KyGoddag* base_;
   const OverlayView* parent_ = nullptr;
   // Sorted by id_begin (allocator blocks are disjoint, so this is a total
   // order).
   std::vector<std::shared_ptr<const GoddagOverlay>> overlays_;
-  // Lazily merged partition cache; guarded by leaves_mu_ (AddOverlay needs
-  // no guard — only the owning evaluation mutates the view, never while
-  // workers read it). unspliced_ holds overlays queued by AddOverlay and
-  // not yet folded into merged_leaves_; draining is batched, so a query
-  // interleaving analyze-string() with leaf() steps pays one linear merge
-  // pass per drain no matter how many boundaries queued up.
-  mutable std::mutex leaves_mu_;
-  mutable bool merged_init_ = false;
-  mutable std::vector<Leaf> merged_leaves_;
-  mutable std::vector<std::shared_ptr<const GoddagOverlay>> unspliced_;
+  // The element boundaries of this view's own overlays, sorted and unique;
+  // guarded by cuts_mu_ (AddOverlay needs no guard — only the owning
+  // evaluation mutates the view, never while workers read it). queued_
+  // holds overlays registered since the last drain (kept alive by
+  // overlays_).
+  mutable std::mutex cuts_mu_;
+  mutable std::vector<size_t> cuts_;
+  mutable std::vector<const GoddagOverlay*> queued_;
 };
 
 }  // namespace mhx::goddag

@@ -91,13 +91,15 @@ std::string StripContextWildcards(std::string_view pattern) {
     pattern.remove_prefix(2);
   }
   if (pattern.size() >= 2 && pattern.substr(pattern.size() - 2) == ".*") {
-    // Do not strip an escaped ".\*" or a quantified ". *"; a preceding
-    // backslash means the '.' is literal only when it escapes the dot, but
-    // "\.*" ends with an escaped dot + star, which is not a context
-    // wildcard.
-    if (pattern.size() < 3 || pattern[pattern.size() - 3] != '\\') {
-      pattern.remove_suffix(2);
+    // The '.' is a wildcard only when an even number of backslashes
+    // precedes it: "a\\.*" is an escaped backslash then a real context
+    // wildcard, "a\.*" and "a\\\.*" end with an escaped dot + star.
+    size_t backslashes = 0;
+    while (backslashes + 2 < pattern.size() &&
+           pattern[pattern.size() - 3 - backslashes] == '\\') {
+      ++backslashes;
     }
+    if (backslashes % 2 == 0) pattern.remove_suffix(2);
   }
   return std::string(pattern);
 }

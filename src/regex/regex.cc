@@ -353,6 +353,77 @@ class PatternParser {
   std::vector<CharClass>* classes_;
 };
 
+// What the literal analysis knows about the strings a subpattern matches.
+struct LiteralInfo {
+  // The subpattern matches exactly `text` and nothing else.
+  bool exact = false;
+  std::string text;
+  // A string every match contains (the longest one found).
+  std::string required;
+};
+
+void KeepLonger(std::string* best, const std::string& candidate) {
+  if (candidate.size() > best->size()) *best = candidate;
+}
+
+// Bottom-up required-literal extraction. Sound because a concatenation's
+// match is its children's matches laid end to end (anchors match the empty
+// string), so adjacent exact children form one contiguous literal, and
+// every match of a group or of a repeat with min >= 1 contains a match of
+// its body. Exact text never outgrows the compiled program: each of its
+// characters is one emitted kChar.
+LiteralInfo AnalyzeLiterals(const RNode& n) {
+  LiteralInfo info;
+  switch (n.kind) {
+    case RNode::Kind::kEmpty:
+    case RNode::Kind::kAnchorStart:
+    case RNode::Kind::kAnchorEnd:
+      info.exact = true;
+      return info;
+    case RNode::Kind::kChar:
+      info.exact = true;
+      info.text = info.required = std::string(1, n.ch);
+      return info;
+    case RNode::Kind::kGroup:
+      return AnalyzeLiterals(n.children.front());
+    case RNode::Kind::kConcat: {
+      info.exact = true;
+      std::string run;
+      for (const RNode& child : n.children) {
+        LiteralInfo part = AnalyzeLiterals(child);
+        if (part.exact) {
+          run += part.text;
+          continue;
+        }
+        info.exact = false;
+        KeepLonger(&info.required, run);
+        KeepLonger(&info.required, part.required);
+        run.clear();
+      }
+      KeepLonger(&info.required, run);
+      if (info.exact) info.text = std::move(run);
+      return info;
+    }
+    case RNode::Kind::kRepeat: {
+      if (n.min == 0) return info;
+      LiteralInfo body = AnalyzeLiterals(n.children.front());
+      if (body.exact && n.min == n.max) {
+        info.exact = true;
+        for (uint32_t i = 0; i < n.min; ++i) info.text += body.text;
+        info.required = info.text;
+      } else {
+        info.required = std::move(body.required);
+      }
+      return info;
+    }
+    case RNode::Kind::kAny:
+    case RNode::Kind::kClass:
+    case RNode::Kind::kAlt:
+      return info;
+  }
+  return info;
+}
+
 }  // namespace
 
 // Flattens the AST into the bytecode program. Kept a friend class (not a
@@ -483,6 +554,7 @@ StatusOr<Regex> Regex::Compile(std::string_view pattern) {
   re.group_count_ = parser.group_count();
   RegexCompiler compiler(&re);
   MHX_RETURN_IF_ERROR(compiler.CompileProgram(root));
+  re.required_literal_ = AnalyzeLiterals(root).required;
   return re;
 }
 
@@ -677,7 +749,7 @@ std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
   std::vector<Match> matches;
   SearchScratch scratch;
   size_t pos = 0;
-  while (pos <= text.size()) {
+  while (pos <= text.size() && ContainsRequiredLiteral(text, pos)) {
     SearchResult r;
     if (!Search(text, pos, /*anchored=*/false, /*full=*/false,
                 /*first_only=*/false, &scratch, &r)) {
@@ -697,7 +769,14 @@ std::vector<Regex::Match> Regex::FindAll(std::string_view text) const {
   return matches;
 }
 
+bool Regex::ContainsRequiredLiteral(std::string_view text,
+                                    size_t from) const {
+  return required_literal_.empty() ||
+         text.find(required_literal_, from) != std::string_view::npos;
+}
+
 bool Regex::ContainsMatch(std::string_view text) const {
+  if (!ContainsRequiredLiteral(text, 0)) return false;
   SearchScratch scratch;
   SearchResult r;
   return Search(text, 0, /*anchored=*/false, /*full=*/false,
@@ -705,6 +784,7 @@ bool Regex::ContainsMatch(std::string_view text) const {
 }
 
 bool Regex::FullMatch(std::string_view text) const {
+  if (!ContainsRequiredLiteral(text, 0)) return false;
   SearchScratch scratch;
   SearchResult r;
   return Search(text, 0, /*anchored=*/true, /*full=*/true,

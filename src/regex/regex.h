@@ -13,6 +13,12 @@
 // is O(|text| * |program|) regardless of the pattern. Submatches ride along
 // as per-thread save slots; FindAll selects leftmost-longest (POSIX-style)
 // rather than leftmost-first matches.
+//
+// Compile also extracts the pattern's required literal: the longest run of
+// literal characters every match must contain (see required_literal()).
+// Every search first checks that the text still holds it and answers "no
+// match" without running the VM when it does not — most words a query
+// filters never reach the VM.
 
 #ifndef MHX_REGEX_REGEX_H_
 #define MHX_REGEX_REGEX_H_
@@ -201,6 +207,11 @@ class Regex {
   size_t group_count() const { return group_count_; }
   // Program length — the per-character work bound of the Pike VM.
   size_t program_size() const { return program_.size(); }
+  // A string every match contains (empty when nothing is required): the
+  // longest run of adjacent characters that a concatenation must match,
+  // looking through groups and mandatory repeats; alternations, classes,
+  // '.' and optional repeats contribute nothing.
+  const std::string& required_literal() const { return required_literal_; }
 
  private:
   struct SearchResult {
@@ -210,6 +221,10 @@ class Regex {
   };
 
   explicit Regex(std::string pattern) : pattern_(std::move(pattern)) {}
+
+  // The prefilter: false when text[from..] lacks the required literal, so
+  // no match can start at or after `from`.
+  bool ContainsRequiredLiteral(std::string_view text, size_t from) const;
 
   // Runs the VM over text[from..). `anchored` admits only threads starting
   // at `from`; `full` admits only matches ending at text.size(). Returns
@@ -224,6 +239,7 @@ class Regex {
   std::vector<internal::Inst> program_;
   std::vector<internal::CharClass> classes_;
   size_t group_count_ = 0;
+  std::string required_literal_;
 
   friend class RegexCompiler;
 };

@@ -34,6 +34,55 @@ Status EvalErrorAt(size_t offset, const std::string& what) {
                               std::to_string(offset) + ": " + what);
 }
 
+// A matches() or analyze-string() pattern, ready to run: the compiled
+// program (PlanCache-owned, address-stable) and, for analyze-string(), the
+// translated fragment pattern whose residual regex it is.
+struct ResolvedPattern {
+  const regex::Regex* re = nullptr;
+  regex::FragmentPattern fragment;
+};
+
+// The call sites of one query whose pattern argument is a string literal,
+// resolved once per evaluation and shared read-only by its workers, so a
+// loop calling matches() per item takes no cache lock per item.
+using LiteralPatterns =
+    std::unordered_map<const AstNode*, ResolvedPattern>;
+
+// Resolves `pattern` for a matches() call, or (with `fragment`) for an
+// analyze-string() call: strip the context wildcards, translate the
+// fragment markup, compile the residual regex. Errors are unanchored;
+// callers anchor them to the call's source offset.
+StatusOr<ResolvedPattern> ResolvePattern(PlanCache* plans,
+                                         std::string_view pattern,
+                                         bool fragment) {
+  ResolvedPattern out;
+  if (fragment) {
+    MHX_ASSIGN_OR_RETURN(out.fragment,
+                         regex::TranslateFragmentPattern(
+                             regex::StripContextWildcards(pattern)));
+    pattern = out.fragment.regex;
+  }
+  MHX_ASSIGN_OR_RETURN(out.re, plans->CompileRegex(pattern));
+  return out;
+}
+
+// Fills `out` with every literal-pattern call site under `node`. A pattern
+// that fails to resolve is left out: its error surfaces only if the call
+// is evaluated, exactly as without the table.
+void CollectLiteralPatterns(PlanCache* plans, const AstNode& node,
+                            LiteralPatterns* out) {
+  if (node.kind == ExprKind::kFunctionCall && node.children.size() == 2 &&
+      node.children[1]->kind == ExprKind::kStringLiteral &&
+      (node.name == "matches" || node.name == "analyze-string")) {
+    auto resolved = ResolvePattern(plans, node.children[1]->string_value,
+                                   node.name == "analyze-string");
+    if (resolved.ok()) out->emplace(&node, *std::move(resolved));
+  }
+  VisitSubExprs(node, [&](const AstNode& child) {
+    CollectLiteralPatterns(plans, child, out);
+  });
+}
+
 // Work-stealing distributor of one parallel loop's binding indices. Slot s
 // starts owning a contiguous range; an owner pops its own front, and a slot
 // whose deque drained steals the back half of the first non-empty victim's
@@ -210,7 +259,8 @@ class Evaluator {
   // join, in binding order.
   Evaluator(Engine* engine, const xpath::AxisEvaluator* axes,
             const QueryOptions* options, const QueryPlan* plan,
-            base::ThreadPool* pool, goddag::OverlayView* view,
+            const LiteralPatterns* patterns, base::ThreadPool* pool,
+            goddag::OverlayView* view,
             std::vector<std::shared_ptr<const goddag::GoddagOverlay>>* own,
             std::vector<std::pair<std::string, Sequence>> bindings = {})
       : engine_(engine),
@@ -219,6 +269,7 @@ class Evaluator {
         axes_(*axes),
         options_(options),
         plan_(plan),
+        patterns_(patterns),
         pool_(pool) {
     bindings_ = std::move(bindings);
   }
@@ -526,6 +577,7 @@ class Evaluator {
     const xpath::AxisEvaluator* axes = nullptr;
     const QueryOptions* options = nullptr;
     const QueryPlan* plan = nullptr;
+    const LiteralPatterns* patterns = nullptr;
     base::ThreadPool* pool = nullptr;
     goddag::OverlayView* parent_view = nullptr;
     const std::vector<std::pair<std::string, Sequence>>* parent_bindings =
@@ -599,7 +651,8 @@ class Evaluator {
             own.clear();
             if (!worker.has_value()) {
               worker.emplace(st->engine, st->axes, st->options, st->plan,
-                             st->pool, &*view, &own, *st->parent_bindings);
+                             st->patterns, st->pool, &*view, &own,
+                             *st->parent_bindings);
             } else {
               worker->view_ = &*view;
             }
@@ -609,7 +662,7 @@ class Evaluator {
             // the coordinator's view read-only instead of forking per
             // binding.
             worker.emplace(st->engine, st->axes, st->options, st->plan,
-                           st->pool, st->parent_view, &own,
+                           st->patterns, st->pool, st->parent_view, &own,
                            *st->parent_bindings);
           }
           worker->bindings_.emplace_back(
@@ -672,6 +725,7 @@ class Evaluator {
     st->axes = &axes_;
     st->options = options_;
     st->plan = plan_;
+    st->patterns = patterns_;
     st->pool = pool_;
     st->parent_view = view_;
     st->parent_bindings = &bindings_;
@@ -1221,18 +1275,14 @@ class Evaluator {
   }
 
   void AppendLeavesIn(const TextRange& range, Sequence* out) const {
-    if (range.empty()) return;
-    // The evaluation's leaf partition: base cells re-split at every overlay
-    // element boundary.
-    const std::vector<goddag::Leaf>& leaves = view_->leaves();
-    auto it = std::lower_bound(
-        leaves.begin(), leaves.end(), range.begin,
-        [](const goddag::Leaf& leaf, size_t pos) {
-          return leaf.range.begin < pos;
-        });
-    // Node boundaries are leaf boundaries, so leaves tile `range` exactly.
-    for (; it != leaves.end() && it->range.end <= range.end; ++it) {
-      out->push_back(Item::Leaf(it->range));
+    // The evaluation's leaf partition inside `range`: base cells re-split
+    // at every visible overlay element boundary. Node boundaries are leaf
+    // boundaries, so for a node's range the cells tile it exactly.
+    leaf_scratch_.clear();
+    view_->AppendLeavesIn(range, &leaf_scratch_);
+    out->reserve(out->size() + leaf_scratch_.size());
+    for (const goddag::Leaf& leaf : leaf_scratch_) {
+      out->push_back(Item::Leaf(leaf.range));
     }
   }
 
@@ -1320,13 +1370,12 @@ class Evaluator {
     if (name == "false" && arity == 0) return Sequence{Item::Boolean(false)};
     if (name == "matches" && arity == 2) {
       MHX_ASSIGN_OR_RETURN(Sequence subject, Eval(*node.children[0], context));
-      MHX_ASSIGN_OR_RETURN(std::string pattern,
-                           SingletonString(*node.children[1], context));
-      MHX_ASSIGN_OR_RETURN(const regex::Regex* re,
-                           CompiledRegex(pattern, node.offset));
+      ResolvedPattern dynamic;
+      MHX_ASSIGN_OR_RETURN(const ResolvedPattern* pattern,
+                           PatternOf(node, context, &dynamic));
       const std::string value =
           subject.empty() ? std::string() : StringValue(subject[0]);
-      return Sequence{Item::Boolean(re->ContainsMatch(value))};
+      return Sequence{Item::Boolean(pattern->re->ContainsMatch(value))};
     }
     if (name == "analyze-string" && arity == 2) {
       return EvalAnalyzeString(node, context);
@@ -1345,18 +1394,26 @@ class Evaluator {
     return StringValue(seq[0]);
   }
 
-  StatusOr<const regex::Regex*> CompiledRegex(const std::string& pattern,
-                                              size_t offset) {
-    // Parallel workers hit the shared PlanCache concurrently (matches()
-    // and analyze-string() are parallel-safe); cached programs are
-    // address-stable for the cache's lifetime, which the engine pins via
-    // shared_ptr. Compile errors are anchored to this call site's source
-    // offset.
-    auto compiled = engine_->plans_->CompileRegex(pattern);
-    if (!compiled.ok()) {
-      return EvalErrorAt(offset, compiled.status().message());
+  // The pattern of matches()/analyze-string() call `node`: the
+  // evaluation's pre-resolved entry when the argument is a literal,
+  // otherwise the argument evaluated and resolved into `dynamic`. Parallel
+  // workers hit the shared PlanCache concurrently on the dynamic path;
+  // cached programs are address-stable for the cache's lifetime, which the
+  // engine pins via shared_ptr. Errors are anchored to the call's offset.
+  StatusOr<const ResolvedPattern*> PatternOf(const AstNode& node,
+                                             const Item* context,
+                                             ResolvedPattern* dynamic) {
+    auto literal = patterns_->find(&node);
+    if (literal != patterns_->end()) return &literal->second;
+    MHX_ASSIGN_OR_RETURN(std::string pattern,
+                         SingletonString(*node.children[1], context));
+    auto resolved = ResolvePattern(engine_->plans_.get(), pattern,
+                                   node.name == "analyze-string");
+    if (!resolved.ok()) {
+      return EvalErrorAt(node.offset, resolved.status().message());
     }
-    return compiled.value();
+    *dynamic = *std::move(resolved);
+    return dynamic;
   }
 
   // The paper's analyze-string(): match a fragment pattern against the
@@ -1380,16 +1437,11 @@ class Evaluator {
     const TextRange range = target[0].kind == Item::Kind::kNode
                                 ? view_->node(target[0].node).range
                                 : target[0].range;
-    MHX_ASSIGN_OR_RETURN(std::string pattern,
-                         SingletonString(*node.children[1], context));
-
-    const std::string core = regex::StripContextWildcards(pattern);
-    auto fragment = regex::TranslateFragmentPattern(core);
-    if (!fragment.ok()) {
-      return EvalErrorAt(node.offset, fragment.status().message());
-    }
-    MHX_ASSIGN_OR_RETURN(const regex::Regex* re,
-                         CompiledRegex(fragment->regex, node.offset));
+    ResolvedPattern dynamic;
+    MHX_ASSIGN_OR_RETURN(const ResolvedPattern* pattern,
+                         PatternOf(node, context, &dynamic));
+    const regex::Regex* re = pattern->re;
+    const regex::FragmentPattern* fragment = &pattern->fragment;
 
     const std::string_view text =
         std::string_view(view_->base_text())
@@ -1538,10 +1590,16 @@ class Evaluator {
   // null under the forced modes (and for plan-less callers); workers
   // inherit the coordinator's, so every slot executes the same plan.
   const QueryPlan* plan_;
+  // The evaluation's literal-pattern call sites; workers share the
+  // coordinator's table.
+  const LiteralPatterns* patterns_;
   // Fan-out pool; null for serial evaluation. Workers keep it so nested
   // `for` loops fan out too.
   base::ThreadPool* pool_;
   std::vector<std::pair<std::string, Sequence>> bindings_;
+  // AppendLeavesIn's cell buffer, reused across leaf() steps (an evaluator
+  // runs on one thread).
+  mutable std::vector<goddag::Leaf> leaf_scratch_;
 };
 
 // --- Engine ----------------------------------------------------------------
@@ -1651,12 +1709,14 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
     std::string_view query, const QueryOptions& options) {
   obs::QueryTrace* trace = options.trace;
   const Expr* expr = nullptr;
+  LiteralPatterns patterns;
   {
     // Stage spans are consecutive at this level — each begins where the
     // previous ended — so a trace's kStage spans tile the call's wall
     // time (see obs/trace.h).
     obs::StageTimer stage(trace, "plan_lookup");
     MHX_ASSIGN_OR_RETURN(expr, PreparedQuery(query));
+    CollectLiteralPatterns(plans_.get(), expr->root(), &patterns);
   }
   // threads: 0 and 1 are the same request — serial evaluation. Normalising
   // here keeps every later decision (pool creation, ShouldParallelize,
@@ -1701,7 +1761,7 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   for (auto& overlay : SnapshotKept()) view.AddOverlay(std::move(overlay));
   std::vector<std::shared_ptr<const goddag::GoddagOverlay>> own;
   Evaluator evaluator(this, &pinned->axes, &normalized, plan.get(),
-                      fan_out_pool, &view, &own);
+                      &patterns, fan_out_pool, &view, &own);
   StatusOr<Evaluator::Sequence> result = [&] {
     obs::StageTimer stage(trace, "evaluate");
     return evaluator.Evaluate(expr->root());

@@ -84,5 +84,17 @@ TEST(StripContextWildcardsTest, StripsLeadingAndTrailing) {
   EXPECT_EQ(StripContextWildcards("ab\\.*"), "ab\\.*");
 }
 
+TEST(StripContextWildcardsTest, CountsTheBackslashRunBeforeTheDot) {
+  // a\.* — odd run: the dot is escaped, nothing to strip.
+  EXPECT_EQ(StripContextWildcards("a\\.*"), "a\\.*");
+  // a\\.* — an escaped backslash, then a real trailing wildcard.
+  EXPECT_EQ(StripContextWildcards("a\\\\.*"), "a\\\\");
+  // a\\\.* — escaped backslash plus an escaped dot.
+  EXPECT_EQ(StripContextWildcards("a\\\\\\.*"), "a\\\\\\.*");
+  // A run reaching the start of the pattern counts the same way.
+  EXPECT_EQ(StripContextWildcards("\\\\.*"), "\\\\");
+  EXPECT_EQ(StripContextWildcards(".*\\.*"), "\\.*");
+}
+
 }  // namespace
 }  // namespace mhx::regex

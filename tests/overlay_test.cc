@@ -1,8 +1,10 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // The evaluation-scoped overlay layer: id-block allocation, overlay
-// construction and resolution through OverlayView, the merged leaf
-// partition, and view-aware axis evaluation (base index + overlay scan).
+// construction and resolution through OverlayView, range-wise leaf
+// enumeration (checked against a from-scratch boundary sort over generated
+// editions and fork chains), and view-aware axis evaluation (base index +
+// overlay scan).
 
 #include "goddag/overlay.h"
 
@@ -10,8 +12,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <vector>
 
+#include "document.h"
+#include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xml/parser.h"
 #include "xpath/axes.h"
@@ -37,6 +42,19 @@ std::shared_ptr<const GoddagOverlay> MustCreate(
       GoddagOverlay::Create(base, std::move(ids), name, std::move(elements));
   EXPECT_TRUE(overlay.ok()) << overlay.status();
   return *overlay;
+}
+
+// The whole partition `view` sees: every cell inside the full text.
+std::vector<Leaf> AllLeaves(const OverlayView& view) {
+  std::vector<Leaf> out;
+  view.AppendLeavesIn(TextRange(0, view.base_text().size()), &out);
+  return out;
+}
+
+std::vector<TextRange> Ranges(const std::vector<Leaf>& leaves) {
+  std::vector<TextRange> out;
+  for (const Leaf& leaf : leaves) out.push_back(leaf.range);
+  return out;
 }
 
 TEST(OverlayIdAllocatorTest, BlocksAreDisjointAndTagged) {
@@ -214,14 +232,14 @@ TEST(OverlayViewTest, MergedLeavesSplitAtOverlayBoundaries) {
   const size_t base_cells = kg.leaves().size();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  // Without overlays the view serves the base partition itself.
-  EXPECT_EQ(&view.leaves(), &kg.leaves());
+  // Without overlays the view enumerates the base partition itself.
+  EXPECT_EQ(Ranges(AllLeaves(view)), Ranges(kg.leaves()));
 
   // "unawendendne" is [9,21); 11 and 12 are fresh boundaries, 9 is already
   // a word boundary in the base partition.
   view.AddOverlay(MustCreate(&kg, ids, "result",
                              {VirtualElement{"a", TextRange(11, 12), {}}}));
-  const std::vector<Leaf>& merged = view.leaves();
+  const std::vector<Leaf> merged = AllLeaves(view);
   EXPECT_EQ(merged.size(), base_cells + 2);
   EXPECT_EQ(kg.leaves().size(), base_cells);  // base partition untouched
   // The merged partition still tiles [0, n).
@@ -233,7 +251,15 @@ TEST(OverlayViewTest, MergedLeavesSplitAtOverlayBoundaries) {
   // Splicing an existing boundary is a no-op.
   view.AddOverlay(MustCreate(&kg, ids, "again",
                              {VirtualElement{"b", TextRange(11, 12), {}}}));
-  EXPECT_EQ(view.leaves().size(), base_cells + 2);
+  EXPECT_EQ(AllLeaves(view).size(), base_cells + 2);
+  // The word's own leaves — the base line break at 15 plus the two cuts —
+  // appended after what `out` already holds.
+  std::vector<Leaf> word = {Leaf{TextRange(0, 1)}};
+  view.AppendLeavesIn(TextRange(9, 21), &word);
+  EXPECT_EQ(Ranges(word),
+            (std::vector<TextRange>{TextRange(0, 1), TextRange(9, 11),
+                                    TextRange(11, 12), TextRange(12, 15),
+                                    TextRange(15, 21)}));
 }
 
 TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
@@ -333,7 +359,7 @@ TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
 TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
   // One overlay carrying many nested elements inside a single word: every
   // boundary must land, exactly once, no matter how they batch up before
-  // the first leaves() call.
+  // the first leaf enumeration.
   KyGoddag kg = PaperGoddag();
   const size_t base_cells = kg.leaves().size();
   auto ids = std::make_shared<OverlayIdAllocator>();
@@ -347,7 +373,7 @@ TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
         VirtualElement{"n", TextRange(9 + d, 21 - d), {}});
   }
   view.AddOverlay(MustCreate(&kg, ids, "deep", std::move(elements)));
-  const std::vector<Leaf>& merged = view.leaves();
+  const std::vector<Leaf> merged = AllLeaves(view);
   EXPECT_EQ(merged.size(), base_cells + 10);
   EXPECT_EQ(merged.front().range.begin, 0u);
   EXPECT_EQ(merged.back().range.end, kg.base_text().size());
@@ -355,10 +381,10 @@ TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
     EXPECT_EQ(merged[i].range.end, merged[i + 1].range.begin);
     EXPECT_LT(merged[i].range.begin, merged[i].range.end);
   }
-  // A second batch drains incrementally on top of the merged partition.
+  // A second batch drains incrementally on top of the drained cuts.
   view.AddOverlay(MustCreate(&kg, ids, "more",
                              {VirtualElement{"a", TextRange(2, 3), {}}}));
-  EXPECT_EQ(view.leaves().size(), base_cells + 12);
+  EXPECT_EQ(AllLeaves(view).size(), base_cells + 12);
 }
 
 TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
@@ -373,7 +399,7 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
                          {VirtualElement{"m", TextRange(9, 14), {}}});
   const NodeId kept_m = kept->elements_begin();
   coordinator.AddOverlay(kept);
-  const size_t coordinator_cells = coordinator.leaves().size();
+  const size_t coordinator_cells = AllLeaves(coordinator).size();
 
   // A worker forks off the coordinator and creates its own overlay.
   OverlayView worker(&coordinator);
@@ -391,10 +417,10 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
   EXPECT_EQ(worker.overlay_of(private_a), private_overlay.get());
   // Write isolation: the coordinator never sees the fork's overlay.
   EXPECT_EQ(coordinator.overlay_of(private_a), nullptr);
-  EXPECT_EQ(coordinator.leaves().size(), coordinator_cells);
+  EXPECT_EQ(AllLeaves(coordinator).size(), coordinator_cells);
   // The fork's partition = the coordinator's partition re-split at its own
   // overlay's boundaries only ([25,27) adds two fresh cuts).
-  EXPECT_EQ(worker.leaves().size(), coordinator_cells + 2);
+  EXPECT_EQ(AllLeaves(worker).size(), coordinator_cells + 2);
 
   // Axis scans walk the fork chain: from a base context inside [9,14),
   // xancestor sees the coordinator's m through the fork...
@@ -416,7 +442,120 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
   // makes it visible there, exactly as the engine does in binding order.
   coordinator.AddOverlay(private_overlay);
   EXPECT_EQ(coordinator.overlay_of(private_a), private_overlay.get());
-  EXPECT_EQ(coordinator.leaves().size(), coordinator_cells + 2);
+  EXPECT_EQ(AllLeaves(coordinator).size(), coordinator_cells + 2);
+}
+
+// Seeded overlays over generated editions, in fork chains up to three
+// deep, checked against the definition: a view's partition is the sorted
+// union of every base and visible overlay boundary, and AppendLeavesIn
+// returns the consecutive pairs of it lying inside the range. The oracle
+// recomputes that union from scratch per view; the ranges are base and
+// overlay node ranges plus arbitrary ranges that begin and end inside
+// cells.
+TEST(OverlayViewTest, LeavesInMatchFromScratchBoundarySort) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    mhx::workload::EditionConfig config;
+    config.seed = seed;
+    config.word_count = 200;
+    auto doc = mhx::workload::BuildEditionDocument(config);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    const KyGoddag& kg = doc->goddag();
+    const size_t n = kg.base_text().size();
+    std::mt19937_64 rng(seed);
+    auto uniform = [&rng](size_t lo, size_t hi) {  // inclusive
+      return std::uniform_int_distribution<size_t>(lo, hi)(rng);
+    };
+    auto ids = std::make_shared<OverlayIdAllocator>();
+
+    // Disjoint elements at random cut points, some with a nested child.
+    auto random_overlay = [&] {
+      std::vector<size_t> points;
+      const size_t count = 2 * uniform(1, 12);
+      for (size_t i = 0; i < count; ++i) points.push_back(uniform(0, n));
+      std::sort(points.begin(), points.end());
+      points.erase(std::unique(points.begin(), points.end()), points.end());
+      std::vector<VirtualElement> elements;
+      for (size_t i = 0; i + 1 < points.size(); i += 2) {
+        const size_t b = points[i], e = points[i + 1];
+        elements.push_back(VirtualElement{"m", TextRange(b, e), {}});
+        if (e - b >= 2 && uniform(0, 1) == 1) {
+          const size_t nb = uniform(b, e - 1);
+          elements.push_back(
+              VirtualElement{"g", TextRange(nb, uniform(nb + 1, e)), {}});
+        }
+      }
+      return MustCreate(&kg, ids, "r", std::move(elements));
+    };
+
+    // Overlays are registered before the next fork: a parent is frozen
+    // while children exist.
+    std::vector<std::unique_ptr<OverlayView>> chain;
+    std::vector<std::vector<std::shared_ptr<const GoddagOverlay>>> visible;
+    const size_t depth = uniform(1, 3);
+    for (size_t d = 0; d < depth; ++d) {
+      if (d == 0) {
+        chain.push_back(std::make_unique<OverlayView>(&kg));
+        visible.emplace_back();
+      } else {
+        chain.push_back(std::make_unique<OverlayView>(chain.back().get()));
+        visible.push_back(visible.back());
+      }
+      const size_t overlays = uniform(d == 0 ? 0 : 1, 3);
+      for (size_t i = 0; i < overlays; ++i) {
+        auto overlay = random_overlay();
+        chain.back()->AddOverlay(overlay);
+        visible.back().push_back(overlay);
+      }
+    }
+
+    for (size_t d = 0; d < chain.size(); ++d) {
+      SCOPED_TRACE("depth " + std::to_string(d));
+      std::vector<size_t> boundaries = {0, n};
+      for (const Leaf& leaf : kg.leaves()) {
+        boundaries.push_back(leaf.range.begin);
+      }
+      std::vector<TextRange> node_ranges;
+      for (const auto& overlay : visible[d]) {
+        for (NodeId id = overlay->root(); id < overlay->id_end(); ++id) {
+          const TextRange& r = overlay->node(id).range;
+          boundaries.push_back(r.begin);
+          boundaries.push_back(r.end);
+          node_ranges.push_back(r);
+        }
+      }
+      std::sort(boundaries.begin(), boundaries.end());
+      boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
+                       boundaries.end());
+      auto expected = [&](const TextRange& range) {
+        std::vector<TextRange> cells;
+        if (range.empty()) return cells;
+        auto it = std::lower_bound(boundaries.begin(), boundaries.end(),
+                                   range.begin);
+        for (; it + 1 < boundaries.end() && *(it + 1) <= range.end; ++it) {
+          cells.push_back(TextRange(*it, *(it + 1)));
+        }
+        return cells;
+      };
+
+      for (size_t i = 0; i < 40; ++i) {
+        const NodeId id =
+            static_cast<NodeId>(uniform(0, kg.node_table_size() - 1));
+        node_ranges.push_back(kg.node(id).range);
+      }
+      for (size_t i = 0; i < 60; ++i) {
+        const size_t b = uniform(0, n);
+        node_ranges.push_back(TextRange(b, uniform(b, n)));
+      }
+      node_ranges.push_back(TextRange(0, n));
+      for (const TextRange& range : node_ranges) {
+        std::vector<Leaf> got;
+        chain[d]->AppendLeavesIn(range, &got);
+        ASSERT_EQ(Ranges(got), expected(range))
+            << "range [" << range.begin << "," << range.end << ")";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -189,6 +191,154 @@ TEST(RegexMatchTest, EmptyMatchesDoNotLoopFindAll) {
   EXPECT_EQ(matches[0].range, TextRange(0, 0));
   EXPECT_EQ(matches[1].range, TextRange(1, 2));
   EXPECT_EQ(matches[2].range, TextRange(2, 2));
+}
+
+// --- required-literal prefilter ---------------------------------------------
+
+TEST(RegexLiteralTest, ExtractsTheLongestMandatoryLiteral) {
+  EXPECT_EQ(MustCompile(".*ea.*").required_literal(), "ea");
+  // Groups are looked through: the fragment residual keeps its literal.
+  EXPECT_EQ(MustCompile("un(a)we").required_literal(), "unawe");
+  EXPECT_EQ(MustCompile(".*un(a(w)e)nden(dne).*").required_literal(),
+            "unawendendne");
+  EXPECT_EQ(MustCompile("x[ab]yz").required_literal(), "yz");
+  EXPECT_EQ(MustCompile("(ab)+c").required_literal(), "ab");
+  EXPECT_EQ(MustCompile("a{3}b").required_literal(), "aaab");
+  EXPECT_EQ(MustCompile("^ab$").required_literal(), "ab");
+  // Alternations, classes and optional repeats require nothing.
+  EXPECT_EQ(MustCompile("sceaft|hweo").required_literal(), "");
+  EXPECT_EQ(MustCompile("(abc)?d").required_literal(), "d");
+  EXPECT_EQ(MustCompile("(abc)*").required_literal(), "");
+  EXPECT_EQ(MustCompile("[ab]+").required_literal(), "");
+}
+
+TEST(RegexLiteralTest, FindAllStopsWhenTheRestLacksTheLiteral) {
+  Regex re = MustCompile("a.b");
+  EXPECT_EQ(MatchRanges(re, "axbab_ayb"),
+            (std::vector<TextRange>{TextRange(0, 3), TextRange(6, 9)}));
+  EXPECT_TRUE(re.FindAll("aaaa").empty());
+}
+
+// A random pattern over the syntax this engine and ECMAScript std::regex
+// agree on, biased towards literal runs inside groups, alternations and
+// repeats. Anchors only at the ends, never quantified. Groups take only
+// bounded quantifiers: std::regex backtracks, and an unbounded repeat of
+// a group that can match empty sends it exponential.
+class PatternGenerator {
+ public:
+  explicit PatternGenerator(uint64_t seed) : rng_(seed) {}
+
+  std::string Next(bool anchors) {
+    std::string p;
+    if (anchors && Pick(4) == 0) p += "^";
+    p += Alternation(2);
+    if (anchors && Pick(4) == 0) p += "$";
+    return p;
+  }
+
+  std::string Text(size_t max_length) {
+    static const char kAlphabet[] = {'a', 'b', 'c', 'a', 'b', '\n', ' '};
+    std::string text;
+    const size_t length = Pick(max_length + 1);
+    for (size_t i = 0; i < length; ++i) {
+      text.push_back(kAlphabet[Pick(sizeof(kAlphabet))]);
+    }
+    return text;
+  }
+
+ private:
+  size_t Pick(size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng_);
+  }
+
+  std::string Alternation(int depth) {
+    std::string p = Concat(depth);
+    while (Pick(4) == 0) p += "|" + Concat(depth);
+    return p;
+  }
+
+  std::string Concat(int depth) {
+    std::string p;
+    const size_t pieces = 1 + Pick(4);
+    for (size_t i = 0; i < pieces; ++i) p += Piece(depth);
+    return p;
+  }
+
+  std::string Piece(int depth) {
+    static const char* const kQuantifiers[] = {
+        "", "", "", "", "?", "{2}", "{1,2}", "{0,1}", "*", "+"};
+    switch (Pick(depth > 0 ? 10 : 8)) {
+      case 0:
+        return "." + std::string(kQuantifiers[Pick(10)]);
+      case 1:
+        return "[ab]" + std::string(kQuantifiers[Pick(10)]);
+      case 2:
+        return "[^b]" + std::string(kQuantifiers[Pick(10)]);
+      case 3:
+        return "\\s" + std::string(kQuantifiers[Pick(10)]);
+      case 8:
+      case 9:
+        return "(" + Alternation(depth - 1) + ")" + kQuantifiers[Pick(8)];
+      default:
+        return std::string(1, "abc"[Pick(3)]) + kQuantifiers[Pick(10)];
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+// ContainsMatch/FullMatch against std::regex existence: the prefilter may
+// only ever turn a VM run into the answer the VM would have given.
+TEST(RegexOracleTest, ExistenceAgreesWithStdRegex) {
+  PatternGenerator gen(20261017);
+  for (int i = 0; i < 1000; ++i) {
+    const std::string pattern = gen.Next(/*anchors=*/true);
+    SCOPED_TRACE("pattern " + pattern);
+    Regex re = MustCompile(pattern.c_str());
+    const std::regex reference(pattern, std::regex::ECMAScript);
+    for (int t = 0; t < 24; ++t) {
+      const std::string text = gen.Text(16);
+      EXPECT_EQ(re.ContainsMatch(text), std::regex_search(text, reference))
+          << "ContainsMatch on '" << text << "'";
+      EXPECT_EQ(re.FullMatch(text), std::regex_match(text, reference))
+          << "FullMatch on '" << text << "'";
+    }
+  }
+}
+
+// FindAll against a brute-force leftmost-longest scan: from the resume
+// position, the first start with any match, then its longest end; an
+// empty match resumes one past itself.
+TEST(RegexOracleTest, FindAllAgreesWithBruteForceLeftmostLongest) {
+  PatternGenerator gen(7);
+  for (int i = 0; i < 400; ++i) {
+    const std::string pattern = gen.Next(/*anchors=*/false);
+    SCOPED_TRACE("pattern " + pattern);
+    Regex re = MustCompile(pattern.c_str());
+    const std::regex reference(pattern, std::regex::ECMAScript);
+    for (int t = 0; t < 8; ++t) {
+      const std::string text = gen.Text(12);
+      std::vector<TextRange> expected;
+      size_t pos = 0;
+      while (pos <= text.size()) {
+        bool found = false;
+        for (size_t b = pos; b <= text.size() && !found; ++b) {
+          for (size_t e = text.size() + 1; e-- > b;) {
+            if (std::regex_match(text.begin() + b, text.begin() + e,
+                                 reference)) {
+              expected.push_back(TextRange(b, e));
+              pos = e > b ? e : e + 1;
+              found = true;
+              break;
+            }
+          }
+        }
+        if (!found) break;
+      }
+      EXPECT_EQ(MatchRanges(re, text), expected) << "FindAll on '" << text
+                                                 << "'";
+    }
+  }
 }
 
 }  // namespace

@@ -144,6 +144,50 @@ TEST_F(XQueryEngineTest, EvaluationErrorsAreAnchored) {
             std::string::npos);
 }
 
+TEST_F(XQueryEngineTest, LiteralPatternsResolveOncePerEvaluation) {
+  // matches() runs once per word and analyze-string() once per match, but
+  // each call site with a literal pattern looks its program up once per
+  // evaluation — at any width.
+  auto plans = std::make_shared<PlanCache>();
+  Engine engine(doc_.get(), plans, nullptr);
+  const char* query =
+      "for $w in /descendant::w[matches(string(.), '.*a.*')] "
+      "return analyze-string($w, '.*un<a>a</a>we.*')";
+  for (size_t threads : {1, 4}) {
+    QueryOptions options;
+    options.threads = threads;
+    auto warm = engine.Evaluate(query, options);
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    const size_t before = plans->regex_hits() + plans->regex_misses();
+    auto again = engine.Evaluate(query, options);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(*again, *warm);
+    EXPECT_EQ(plans->regex_hits() + plans->regex_misses() - before, 2u)
+        << "threads " << threads;
+  }
+}
+
+TEST_F(XQueryEngineTest, NonLiteralAndFailingPatternsResolvePerCall) {
+  // A pattern computed per binding still resolves per call.
+  EXPECT_EQ(Query("for $p in ('ea', 'a') "
+                  "return count(/descendant::w[matches(string(.), $p)])"),
+            "26");
+  // A literal that does not compile fails only where it is evaluated, at
+  // its call's offset.
+  EXPECT_EQ(Query("if (1 = 2) then matches('a', '(') else 'ok'"), "ok");
+  auto out = doc_->Query("matches('a', '(')");
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().message().find("offset 0"), std::string::npos)
+      << out.status();
+  EXPECT_NE(out.status().message().find("regex syntax error"),
+            std::string::npos);
+  out = doc_->Query("analyze-string(/descendant::w[1], 'a<b>c')");
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().message().find("unclosed fragment tag"),
+            std::string::npos)
+      << out.status();
+}
+
 // --- analyze-string temporaries in overlay namespaces ----------------------
 
 TEST_F(XQueryEngineTest, AnalyzeStringKeepsAndCleansTemporaries) {
