@@ -1,10 +1,13 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
 // Experiment E9 (DESIGN.md): the ablation the paper lists as future work —
-// extended-axis evaluation with the leaf-interval RangeIndex vs. the naive
-// full scan of the literal Definition 1, swept over edition size.
+// extended-axis evaluation with the leaf-interval RangeIndex probe vs. the
+// full Definition-1 scan, swept over edition size. Both lanes run the
+// planner's two physical strategies through AxisEvaluator::EvaluatePlanned
+// on a pinned snapshot: BM_*_Scan with StepExec{use_index = false} (the
+// vectorized RangeSoA kernels), BM_*_Indexed with use_index = true.
 //
-// Expected shape: the naive scan is linear in the total node count for every
+// Expected shape: the scan is linear in the total node count for every
 // axis; the indexed ordering axes (xfollowing/xpreceding) and containment/
 // overlap axes narrow candidates by binary search, winning by a growing
 // factor as documents grow.
@@ -29,7 +32,6 @@ using mhx::MultihierarchicalDocument;
 using mhx::goddag::NodeId;
 using mhx::xpath::Axis;
 using mhx::xpath::AxisEvaluator;
-using mhx::xpath::AxisOptions;
 
 MultihierarchicalDocument* EditionDoc(size_t words) {
   static auto* cache = new std::map<size_t, MultihierarchicalDocument*>();
@@ -70,12 +72,16 @@ std::vector<NodeId> WordSample(const MultihierarchicalDocument& doc,
 
 void RunAxis(benchmark::State& state, Axis axis, bool use_index) {
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
-  AxisEvaluator axes(&doc->goddag(), AxisOptions{use_index});
+  const auto snapshot = doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
+  const mhx::goddag::OverlayView view(&snapshot->goddag());
+  const mhx::xpath::NodeTest any = mhx::xpath::NodeTest::Any();
+  const mhx::xpath::StepExec exec{use_index, /*pushdown=*/false};
   std::vector<NodeId> contexts = WordSample(*doc, 64);
   size_t results = 0;
   for (auto _ : state) {
     for (NodeId context : contexts) {
-      auto nodes = axes.EvaluateAxisOnly(context, axis);
+      auto nodes = axes.EvaluatePlanned(view, context, axis, any, exec);
       results += nodes.size();
       benchmark::DoNotOptimize(nodes);
     }
@@ -89,10 +95,10 @@ void RunAxis(benchmark::State& state, Axis axis, bool use_index) {
 }
 
 #define AXIS_BENCH(name, axis)                                     \
-  void BM_##name##_Naive(benchmark::State& state) {                \
+  void BM_##name##_Scan(benchmark::State& state) {                 \
     RunAxis(state, axis, /*use_index=*/false);                     \
   }                                                                \
-  BENCHMARK(BM_##name##_Naive)->Arg(100)->Arg(400)->Arg(1600)->Complexity(); \
+  BENCHMARK(BM_##name##_Scan)->Arg(100)->Arg(400)->Arg(1600)->Complexity(); \
   void BM_##name##_Indexed(benchmark::State& state) {              \
     RunAxis(state, axis, /*use_index=*/true);                      \
   }                                                                \
@@ -176,9 +182,10 @@ KERNEL_BENCH(XPreceding, Axis::kXPreceding)
 void BM_StandardDescendant(benchmark::State& state) {
   // Baseline context: a standard tree axis for comparison.
   MultihierarchicalDocument* doc = EditionDoc(state.range(0));
-  AxisEvaluator axes(&doc->goddag());
+  const auto snapshot = doc->PinSnapshot();
+  AxisEvaluator axes(snapshot.get());
   for (auto _ : state) {
-    auto nodes = axes.EvaluateAxisOnly(doc->goddag().root(),
+    auto nodes = axes.EvaluateAxisOnly(snapshot->goddag().root(),
                                        Axis::kDescendant);
     benchmark::DoNotOptimize(nodes);
   }

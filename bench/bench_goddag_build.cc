@@ -88,7 +88,9 @@ void BM_VirtualHierarchyCycle(benchmark::State& state) {
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
+  // A private clone of the published goddag: the benchmark mutates it in
+  // place, as a writer does before publishing.
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
   kg->set_incremental_leaves(state.range(1) != 0);
   size_t n = kg->base_text().size();
   for (auto _ : state) {
@@ -133,7 +135,9 @@ void BM_LeafPartitionRebuild(benchmark::State& state) {
   config.word_count = state.range(0);
   auto doc = mhx::workload::BuildEditionDocument(config);
   if (!doc.ok()) std::abort();
-  KyGoddag* kg = doc->mutable_goddag();
+  // A private clone of the published goddag: the benchmark mutates it in
+  // place, as a writer does before publishing.
+  std::unique_ptr<KyGoddag> kg = doc->PinSnapshot()->goddag().Clone();
   kg->set_incremental_leaves(false);
   size_t n = kg->base_text().size();
   for (auto _ : state) {

@@ -68,8 +68,9 @@ Setup GetSetup(int64_t words, int64_t chars_per_line) {
 
 void BM_OverlapJoin_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
-  const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  const auto& kg = snapshot->goddag();
+  AxisEvaluator axes(snapshot.get());
   size_t total = 0;
   for (auto _ : state) {
     size_t pairs = 0;
@@ -153,8 +154,9 @@ BENCHMARK(BM_OverlapJoin_Fragmentation)
 
 void BM_PointOverlap_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
-  const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  const auto& kg = snapshot->goddag();
+  AxisEvaluator axes(snapshot.get());
   // Middle word of the document.
   std::vector<NodeId> words;
   for (NodeId id : kg.hierarchy(1).nodes) {
@@ -212,8 +214,9 @@ BENCHMARK(BM_PointOverlap_Fragmentation)
 
 void BM_Containment_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
-  const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  const auto& kg = snapshot->goddag();
+  AxisEvaluator axes(snapshot.get());
   for (auto _ : state) {
     size_t count = 0;
     for (NodeId id : kg.hierarchy(1).nodes) {
@@ -242,10 +245,11 @@ BENCHMARK(BM_Containment_Fragmentation)->Args({400, 30})->Args({1600, 30});
 
 void BM_StringSearch_KyGoddag(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
-  const auto& kg = setup.doc->goddag();
+  const auto snapshot = setup.doc->PinSnapshot();
+  const auto& kg = snapshot->goddag();
   // The target word's text: pick the word overlapping a line if any (worst
   // case for the baseline), else the middle word.
-  AxisEvaluator axes(&kg);
+  AxisEvaluator axes(snapshot.get());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);
@@ -273,8 +277,9 @@ BENCHMARK(BM_StringSearch_KyGoddag)->Args({1600, 30});
 
 void BM_StringSearch_Fragmentation(benchmark::State& state) {
   Setup setup = GetSetup(state.range(0), state.range(1));
-  const auto& kg = setup.doc->goddag();
-  AxisEvaluator axes(&kg);
+  const auto snapshot = setup.doc->PinSnapshot();
+  const auto& kg = snapshot->goddag();
+  AxisEvaluator axes(snapshot.get());
   std::string target;
   for (NodeId id : kg.hierarchy(1).nodes) {
     const auto& n = kg.node(id);

@@ -303,7 +303,7 @@ StatusOr<std::shared_ptr<MultihierarchicalDocument>> CorpusService::Resident(
     if (mapped.ok()) {
       doc = std::make_shared<MultihierarchicalDocument>(
           MultihierarchicalDocument::FromSnapshot(
-              std::move(mapped->head), std::move(mapped->snapshot)));
+              std::move(mapped->snapshot)));
       mmap_loads_.Add();
     } else if (mapped.status().code() != StatusCode::kNotFound) {
       // Corrupt or unreadable arena (NotFound is just a first touch and

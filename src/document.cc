@@ -34,35 +34,25 @@ StatusOr<MultihierarchicalDocument> MultihierarchicalDocument::Builder::
       }
     }
   }
-  auto goddag = std::make_unique<goddag::KyGoddag>(base_text_);
+  auto kg = std::make_shared<goddag::KyGoddag>(base_text_);
   for (const auto& [name, xml_source] : hierarchies_) {
     auto parsed = xml::Parse(xml_source);
     if (!parsed.ok()) {
       return Status(parsed.status().code(),
                     "hierarchy '" + name + "': " + parsed.status().message());
     }
-    auto hid = goddag->AddHierarchy(name, *parsed);
+    auto hid = kg->AddHierarchy(name, *parsed);
     if (!hid.ok()) return hid.status();
   }
-  return MultihierarchicalDocument(std::move(goddag));
+  // Version 1; the index stays lazy so Build() cost is unchanged — the
+  // engine's first evaluation builds it once.
+  return MultihierarchicalDocument(goddag::DocumentSnapshot::Create(
+      std::move(kg), /*version=*/1, /*prebuild_index=*/false));
 }
 
 MultihierarchicalDocument::MultihierarchicalDocument(
-    std::unique_ptr<goddag::KyGoddag> g)
-    : head_(std::move(g)),
-      // Version 1; the index stays lazy so Build() cost is unchanged — the
-      // engine's first evaluation builds it once.
-      current_(goddag::DocumentSnapshot::Create(head_, /*version=*/1,
-                                                /*prebuild_index=*/false)),
-      engine_mu_(std::make_unique<std::mutex>()),
-      snapshot_mu_(std::make_unique<std::mutex>()),
-      writer_mu_(std::make_unique<std::mutex>()) {}
-
-MultihierarchicalDocument::MultihierarchicalDocument(
-    std::shared_ptr<goddag::KyGoddag> head,
     std::shared_ptr<const goddag::DocumentSnapshot> snapshot)
-    : head_(std::move(head)),
-      current_(std::move(snapshot)),
+    : current_(std::move(snapshot)),
       engine_mu_(std::make_unique<std::mutex>()),
       snapshot_mu_(std::make_unique<std::mutex>()),
       writer_mu_(std::make_unique<std::mutex>()) {}
@@ -204,9 +194,8 @@ StatusOr<uint64_t> MultihierarchicalDocument::Writer::Commit() {
   }
   const uint64_t version = snapshot->version();
   {
-    // The entire epoch swap: two pointer assignments under the pin mutex.
+    // The entire epoch swap: one pointer assignment under the pin mutex.
     std::lock_guard<std::mutex> lock(*doc->snapshot_mu_);
-    doc->head_ = std::move(next);
     doc->current_ = std::move(snapshot);
   }
   return version;

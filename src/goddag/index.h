@@ -13,8 +13,8 @@
 // a binary search plus a suffix/prefix copy.
 //
 // The index is a snapshot: it does not observe later mutations of the
-// KyGoddag. Callers that mutate (e.g. virtual hierarchies) should compare
-// KyGoddag::revision() and rebuild, as AxisEvaluator does.
+// KyGoddag. Each published DocumentSnapshot owns one, built once over a
+// goddag that is never mutated afterwards (goddag/snapshot.h).
 
 #ifndef MHX_GODDAG_INDEX_H_
 #define MHX_GODDAG_INDEX_H_

@@ -20,9 +20,9 @@
 // so the E10 ablation can measure the difference.
 //
 // Thread-safety: unsynchronized — a KyGoddag is mutated only on the writer
-// path (Builder::Build, Writer::Commit on a private Clone(), or the legacy
-// mutable_goddag() escape hatch) and read concurrently only once published
-// inside an immutable DocumentSnapshot (goddag/snapshot.h, CONCURRENCY.md).
+// path (Builder::Build, Writer::Commit on a private Clone()) and read
+// concurrently only once published inside an immutable DocumentSnapshot
+// (goddag/snapshot.h, CONCURRENCY.md).
 // Clone() is the MVCC copy-on-write step: the node table, hierarchy table,
 // and leaf partition are copied; the base text is shared (refcounted, never
 // mutated after construction).

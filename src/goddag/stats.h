@@ -44,7 +44,7 @@ inline constexpr uint32_t kNoNameKey = 0xffffffffu;
 // Built only when the base text fits int32 (valid == true): the explicit
 // SIMD paths compare begin/end as signed 32-bit lanes, which is exact
 // precisely when every offset < INT32_MAX. Documents beyond 2 GiB of base
-// text fall back to the scalar GNode scan. The arrays are ArrayRefs: the
+// text answer scans with the RangeIndex probe. The arrays are ArrayRefs: the
 // build path owns them, the mmap-adoption path (goddag/persist.h) borrows
 // them straight out of the arena's SoA sections.
 struct RangeSoA {
@@ -71,8 +71,8 @@ class SnapshotStats {
   // Base-text length in characters.
   size_t text_size() const { return text_size_; }
 
-  // Node-table size at build time (free slots included) — the naive scan's
-  // iteration count, which is what scan cost scales with.
+  // Node-table size at build time (free slots included) — what the
+  // planner's scan cost scales with.
   size_t node_table_size() const { return node_table_size_; }
 
   // Active hierarchies at build time.

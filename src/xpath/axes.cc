@@ -10,7 +10,6 @@ namespace mhx::xpath {
 
 using goddag::GNode;
 using goddag::GNodeKind;
-using goddag::KyGoddag;
 using goddag::NodeId;
 using goddag::kInvalidNode;
 
@@ -137,31 +136,15 @@ bool NodeTest::Matches(const GNode& node) const {
   return false;
 }
 
-AxisEvaluator::AxisEvaluator(const KyGoddag* goddag, AxisOptions options)
-    : goddag_(goddag), options_(options) {}
-
-AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
-                             AxisOptions options)
-    : goddag_(&snapshot->goddag()), snapshot_(snapshot), options_(options) {}
+AxisEvaluator::AxisEvaluator(const goddag::DocumentSnapshot* snapshot)
+    : snapshot_(snapshot), goddag_(&snapshot->goddag()) {}
 
 const goddag::RangeIndex& AxisEvaluator::index() const {
-  // Snapshot-bound and unedited since publish: serve the snapshot's
-  // build-once index. A writer-prebuilt index costs this evaluator nothing;
-  // a lazily indexed snapshot is built exactly once, and the builder counts
-  // it (EnsureIndex reports whether this call built).
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
-    if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
-    return snapshot_->index();
-  }
-  // Bare-goddag evaluators, and the legacy escape hatch: mutable_goddag()
-  // edited the head in place past the snapshot stamp, so rebuild privately
-  // against the live revision.
-  if (index_ == nullptr || index_->revision() != goddag_->revision()) {
-    index_ = std::make_unique<goddag::RangeIndex>(goddag_);
-    ++index_rebuild_count_;
-  }
-  return *index_;
+  // A writer-prebuilt index costs this evaluator nothing; a lazily indexed
+  // snapshot is built exactly once, and the builder counts it (EnsureIndex
+  // reports whether this call built).
+  if (snapshot_->EnsureIndex()) ++index_rebuild_count_;
+  return snapshot_->index();
 }
 
 Ordering AxisEvaluator::ResultOrdering(Axis axis) {
@@ -187,29 +170,10 @@ void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
   std::sort(ids->begin(), ids->end(), cmp);
 }
 
-void AxisEvaluator::EvaluateExtendedNaive(const GNode& context_node,
-                                          NodeId context, Axis axis,
-                                          std::vector<NodeId>* out) const {
-  EvaluateExtendedNaiveRange(context_node.range, context, axis, out);
-}
-
-void AxisEvaluator::EvaluateExtendedNaiveRange(const TextRange& context,
-                                               NodeId exclude, Axis axis,
-                                               std::vector<NodeId>* out) const {
-  const size_t table = goddag_->node_table_size();
-  for (NodeId id = 0; id < table; ++id) {
-    if (id == exclude) continue;
-    const GNode& node = goddag_->node(id);
-    if (node.kind != GNodeKind::kElement) continue;
-    if (ExtendedAxisMatches(axis, context, node.range)) out->push_back(id);
-  }
-}
-
-void AxisEvaluator::EvaluateExtendedIndexed(const GNode& context_node,
-                                            NodeId context, Axis axis,
+void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
+                                            NodeId exclude, Axis axis,
                                             const goddag::ProbeFilter& filter,
                                             std::vector<NodeId>* out) const {
-  const TextRange& c = context_node.range;
   const goddag::RangeIndex& idx = index();
   std::vector<NodeId> hits;
   switch (axis) {
@@ -233,19 +197,8 @@ void AxisEvaluator::EvaluateExtendedIndexed(const GNode& context_node,
   }
   out->reserve(hits.size());
   for (NodeId id : hits) {
-    if (id != context) out->push_back(id);
+    if (id != exclude) out->push_back(id);
   }
-}
-
-const goddag::SnapshotStats* AxisEvaluator::StatsOrNull() const {
-  // Same validity rule as index(): the snapshot's build-once stats describe
-  // the published revision; a legacy in-place edit makes them stale, so the
-  // planned paths fall back to unassisted evaluation.
-  if (snapshot_ != nullptr &&
-      goddag_->revision() == snapshot_->goddag_revision()) {
-    return &snapshot_->stats();
-  }
-  return nullptr;
 }
 
 void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
@@ -376,11 +329,7 @@ std::vector<NodeId> AxisEvaluator::EvaluateAxisOnlyImpl(
   const GNode& context_node = NodeAt(view, context);
   if (context_node.kind == GNodeKind::kFree) return out;
   if (IsExtendedAxis(axis)) {
-    if (options_.use_index) {
-      EvaluateExtendedIndexed(context_node, context, axis, {}, &out);
-    } else {
-      EvaluateExtendedNaive(context_node, context, axis, &out);
-    }
+    EvaluateExtendedIndexed(context_node.range, context, axis, {}, &out);
     if (view != nullptr) {
       AppendOverlayMatches(*view, axis, context_node.range, context,
                            /*test=*/nullptr, &out);
@@ -429,26 +378,7 @@ std::vector<NodeId> AxisEvaluator::EvaluateRange(
     const goddag::OverlayView& view, const TextRange& context,
     Axis axis) const {
   std::vector<NodeId> out;
-  const goddag::RangeIndex& idx = index();
-  switch (axis) {
-    case Axis::kXAncestor:
-      out = idx.NodesContaining(context);
-      break;
-    case Axis::kXDescendant:
-      out = idx.NodesContainedIn(context);
-      break;
-    case Axis::kOverlapping:
-      out = idx.NodesOverlapping(context);
-      break;
-    case Axis::kXFollowing:
-      out = idx.NodesBeginningAtOrAfter(context.end);
-      break;
-    case Axis::kXPreceding:
-      out = idx.NodesEndingAtOrBefore(context.begin);
-      break;
-    default:
-      return out;
-  }
+  EvaluateExtendedIndexed(context, kInvalidNode, axis, {}, &out);
   AppendOverlayMatches(view, axis, context, kInvalidNode, /*test=*/nullptr,
                        &out);
   return out;
@@ -458,37 +388,27 @@ bool AxisEvaluator::EvaluateExtendedPlannedBase(
     const TextRange& context_range, NodeId exclude, Axis axis,
     const NodeTest& test, const StepExec& exec,
     std::vector<NodeId>* out) const {
-  const goddag::SnapshotStats* stats = StatsOrNull();
-  uint32_t key = goddag::kNoNameKey;
-  bool pushdown = false;
-  if (exec.pushdown && test.is_name() && stats != nullptr) {
-    key = stats->name_key(test.name());
-    pushdown = true;
-    if (key == goddag::kNoNameKey) {
-      // No live base element bears this name: the base half is empty by
-      // the statistics alone (overlay hits are the caller's job).
-      return true;
-    }
+  const goddag::SnapshotStats& stats = snapshot_->stats();
+  const bool pushdown = exec.pushdown && test.is_name();
+  const uint32_t key =
+      pushdown ? stats.name_key(test.name()) : goddag::kNoNameKey;
+  if (pushdown && key == goddag::kNoNameKey) {
+    // No live base element bears this name: the base half is empty by the
+    // statistics alone (overlay hits are the caller's job).
+    return true;
   }
-  if (exec.use_index) {
-    goddag::ProbeFilter filter;
-    if (pushdown) filter = {stats->node_name_keys().data(), key};
-    // Reuse the node-context probe: a GNode stand-in carrying the range.
-    GNode probe;
-    probe.range = context_range;
-    EvaluateExtendedIndexed(probe, exclude, axis, filter, out);
+  // Scan side: the vectorized RangeSoA kernels. They decline only when the
+  // packed layout does not apply (text beyond INT32_MAX); the index probe
+  // below then returns the same node set.
+  if (!exec.use_index && ScanExtendedAxis(stats.soa(), axis, context_range,
+                                          exclude, key, KernelIsa::kAuto,
+                                          out)) {
     return pushdown;
   }
-  // Scan side: the vectorized RangeSoA kernels when the snapshot's packed
-  // layout applies, the scalar node-table walk otherwise.
-  if (stats != nullptr &&
-      ScanExtendedAxis(stats->soa(), axis, context_range, exclude,
-                       pushdown ? key : goddag::kNoNameKey, KernelIsa::kAuto,
-                       out)) {
-    return pushdown;
-  }
-  EvaluateExtendedNaiveRange(context_range, exclude, axis, out);
-  return false;
+  goddag::ProbeFilter filter;
+  if (pushdown) filter = {stats.node_name_keys().data(), key};
+  EvaluateExtendedIndexed(context_range, exclude, axis, filter, out);
+  return pushdown;
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluatePlanned(

@@ -1,8 +1,9 @@
 // Copyright (c) mhxq authors. Licensed under the MIT license.
 //
-// AxisEvaluator implements XPath axis steps over a KyGoddag: the standard
-// single-hierarchy tree axes, plus the paper's five extended axes that see
-// across hierarchies (Definition 1, restated over node ranges in DESIGN.md):
+// AxisEvaluator implements XPath axis steps over one published
+// goddag::DocumentSnapshot: the standard single-hierarchy tree axes, plus
+// the paper's five extended axes that see across hierarchies (Definition 1,
+// restated over node ranges in DESIGN.md):
 //
 //   xancestor::    nodes (any hierarchy) whose range contains the context's
 //   xdescendant::  nodes whose range is contained in the context's
@@ -10,38 +11,35 @@
 //   xfollowing::   nodes whose range begins at or after the context's end
 //   xpreceding::   nodes whose range ends at or before the context's start
 //
-// Every extended axis has two evaluation strategies, switched by
-// AxisOptions: the literal Definition-1 scan over the whole node table
-// (naive), and lookups against a RangeIndex (indexed). Both return the same
-// node set in document order — the E9 benchmark and the unit tests hold
-// them to that.
+// Every extended axis has two evaluation strategies, chosen per call by a
+// StepExec (the XQuery planner's output): a probe of the snapshot's
+// RangeIndex, or a vectorized scan of its packed RangeSoA (xpath/kernels.h).
+// Both return the same node set — the E9 benchmark and the unit tests hold
+// them to that against a literal Definition-1 loop. The unplanned entry
+// points always probe the index.
 //
 // Overlay views: every entry point has a goddag::OverlayView overload that
 // evaluates against an evaluation's overlay namespace as well as the base
-// document. Extended axes then read uniformly as "base index (or naive base
-// scan) + overlay scan" — overlay nodes are never indexed, their delta is
-// tiny — and standard axes resolve parent/child arcs through the view.
-// Views fork (goddag/overlay.h): a parallel worker's private view chains to
-// the coordinator's, and both the overlay scan here and the view's own id
-// resolution walk that chain. The base RangeIndex snapshot is
-// revision-checked against the base KyGoddag only: overlay churn never
-// invalidates it, which is what keeps analyze-string() cycles rebuild-free
+// document. Extended axes then read uniformly as "base probe (or scan) +
+// overlay scan" — overlay nodes are never indexed, their delta is tiny —
+// and standard axes resolve parent/child arcs through the view. Views fork
+// (goddag/overlay.h): a parallel worker's private view chains to the
+// coordinator's, and both the overlay scan here and the view's own id
+// resolution walk that chain. Overlay churn never touches the base index,
+// which is what keeps analyze-string() cycles rebuild-free
 // (index_rebuild_count()).
 //
-// MVCC binding: an evaluator constructed over a goddag::DocumentSnapshot
-// serves index() from the snapshot's build-once RangeIndex — prebuilt by
-// the writer that published the snapshot, so readers repinning after a
-// commit pay zero rebuilds (CONCURRENCY.md). The private rebuild path
-// remains only for the legacy escape hatch: a mutable_goddag() edit bumps
-// the live revision past the snapshot's publish stamp, and index() then
-// rebuilds privately, exactly as the plain-goddag constructor always did.
+// MVCC binding: index() and the planner's statistics are the snapshot's
+// build-once blocks — prebuilt by the writer that published the snapshot,
+// so readers repinning after a commit pay zero rebuilds (CONCURRENCY.md).
+// A published snapshot is never mutated, so both stay valid for the
+// evaluator's lifetime.
 
 #ifndef MHX_XPATH_AXES_H_
 #define MHX_XPATH_AXES_H_
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,9 +95,9 @@ enum class Ordering {
 std::string_view OrderingName(Ordering ordering);
 
 // The Definition-1 range predicate of one extended axis: does `candidate`
-// stand in `axis` relation to a context with range `context`? Shared by the
-// naive base-table scan and by the overlay scan half of every extended-axis
-// evaluation.
+// stand in `axis` relation to a context with range `context`? The overlay
+// scan half of every extended-axis evaluation, and the scalar core of the
+// scan kernels.
 bool ExtendedAxisMatches(Axis axis, const TextRange& context,
                          const TextRange& candidate);
 
@@ -128,19 +126,6 @@ class NodeTest {
   std::string name_;
 };
 
-struct AxisOptions {
-  // Extended axes consult a RangeIndex when true, otherwise run the naive
-  // Definition-1 scan. Standard tree axes always walk arcs. Overlay nodes
-  // are scanned either way (they are never indexed).
-  //
-  // Deprecated for engine traffic: the XQuery engine now chooses per step
-  // via the cost-based planner (xquery/planner.h, QueryOptions::plan_mode)
-  // and calls EvaluatePlanned, which ignores this flag. Kept for direct
-  // AxisEvaluator users — unit tests and the axis benchmarks — that pin
-  // one strategy for a whole evaluator.
-  bool use_index = true;
-};
-
 // One path step's physical execution choice, produced per step by the
 // XQuery planner (xquery/planner.h) or pinned by a forced plan mode:
 // indexed probe vs. (vectorized) full scan for the extended axes, and
@@ -154,16 +139,11 @@ struct StepExec {
 
 class AxisEvaluator {
  public:
-  explicit AxisEvaluator(const goddag::KyGoddag* goddag,
-                         AxisOptions options = AxisOptions());
-
   // Binds the evaluator to a pinned MVCC snapshot: navigation reads the
-  // snapshot's goddag, and index() serves the snapshot's build-once index
-  // as long as the goddag revision still matches the publish stamp (see
-  // index() for the legacy-mutation fallback). `snapshot` must outlive the
-  // evaluator — the XQuery engine pairs the two in one pinned entry.
-  explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot,
-                         AxisOptions options = AxisOptions());
+  // snapshot's goddag, index() and the planned paths read its build-once
+  // index and statistics. `snapshot` must outlive the evaluator — the
+  // XQuery engine pairs the two in one pinned entry.
+  explicit AxisEvaluator(const goddag::DocumentSnapshot* snapshot);
 
   // Nodes reachable from `context` along `axis`, in document order
   // (range.begin ascending, longer ranges first, NodeId as tiebreak).
@@ -183,7 +163,7 @@ class AxisEvaluator {
                                        const NodeTest& test) const;
 
   // Extended-axis hits for a bare text range (the XQuery engine's leaf
-  // contexts): base RangeIndex lookup plus overlay scan, not normalised —
+  // contexts): base RangeIndex probe plus overlay scan, not normalised —
   // index traversal order is not document order, so callers treat the
   // result as Ordering::kUnordered. `axis` must be an extended axis.
   std::vector<goddag::NodeId> EvaluateRange(const goddag::OverlayView& view,
@@ -191,13 +171,13 @@ class AxisEvaluator {
                                             Axis axis) const;
 
   // Planner-driven Evaluate: the extended-axis strategy comes from `exec`
-  // instead of AxisOptions — scans run the vectorized RangeSoA kernels
-  // (xpath/kernels.h) when this evaluator is snapshot-bound and the packed
-  // layout applies, falling back to the scalar node-table scan otherwise —
-  // and exec.pushdown folds a name test into the probe/kernel as an
-  // interned-key compare, so base candidates are pre-filtered. Output is
-  // byte-identical to Evaluate(view, context, axis, test) for every exec;
-  // standard axes ignore exec and walk arcs as always.
+  // — scans run the vectorized RangeSoA kernels (xpath/kernels.h), and
+  // fall back to the index probe when the packed layout does not apply
+  // (text beyond INT32_MAX) — and exec.pushdown folds a name test into the
+  // probe/kernel as an interned-key compare, so base candidates are
+  // pre-filtered. Output is byte-identical to Evaluate(view, context, axis,
+  // test) for every exec; standard axes ignore exec and walk arcs as
+  // always.
   std::vector<goddag::NodeId> EvaluatePlanned(const goddag::OverlayView& view,
                                               goddag::NodeId context,
                                               Axis axis, const NodeTest& test,
@@ -231,18 +211,12 @@ class AxisEvaluator {
     return sorts_skipped_.load(std::memory_order_relaxed);
   }
 
-  const AxisOptions& options() const { return options_; }
-
-  // The index backing indexed mode, revision-checked against the *base*
-  // document only (overlay churn never invalidates it). Snapshot-bound
-  // evaluators serve the snapshot's build-once index — writer-prebuilt
-  // snapshots cost this evaluator zero rebuilds; a lazily indexed snapshot
-  // (the Build()-time initial version) is built exactly once here. The
-  // private rebuild path runs only when a legacy mutable_goddag() edit has
-  // pushed the live revision past the snapshot stamp (or for evaluators
-  // constructed over a bare KyGoddag). Once materialised (the XQuery
-  // engine forces this before evaluation) concurrent readers never trigger
-  // a rebuild.
+  // The snapshot's build-once RangeIndex over the *base* document (overlay
+  // churn never touches it). Writer-prebuilt snapshots cost this evaluator
+  // zero rebuilds; a lazily indexed snapshot (the Build()-time initial
+  // version) is built exactly once, by whichever evaluator asks first.
+  // Once materialised (the XQuery engine forces this before evaluation)
+  // concurrent readers never trigger a build.
   const goddag::RangeIndex& index() const;
 
   // Number of RangeIndex constructions this evaluator has paid for — the
@@ -259,22 +233,12 @@ class AxisEvaluator {
                               goddag::NodeId id) const {
     return view != nullptr ? view->node(id) : goddag_->node(id);
   }
-  void EvaluateExtendedNaive(const goddag::GNode& context_node,
-                             goddag::NodeId context, Axis axis,
-                             std::vector<goddag::NodeId>* out) const;
-  // The literal Definition-1 node-table scan for a bare range; `exclude`
-  // drops the context node (kInvalidNode for leaf contexts).
-  void EvaluateExtendedNaiveRange(const TextRange& context,
-                                  goddag::NodeId exclude, Axis axis,
-                                  std::vector<goddag::NodeId>* out) const;
-  void EvaluateExtendedIndexed(const goddag::GNode& context_node,
-                               goddag::NodeId context, Axis axis,
+  // The base RangeIndex probe for a context range; `exclude` drops the
+  // context node (kInvalidNode for leaf contexts).
+  void EvaluateExtendedIndexed(const TextRange& context,
+                               goddag::NodeId exclude, Axis axis,
                                const goddag::ProbeFilter& filter,
                                std::vector<goddag::NodeId>* out) const;
-  // The snapshot's statistics block (kernel scan surface + pushdown keys),
-  // or null when this evaluator is not snapshot-bound or a legacy
-  // mutable_goddag() edit has invalidated the snapshot.
-  const goddag::SnapshotStats* StatsOrNull() const;
   // The base-table half of a planned extended-axis evaluation: indexed
   // probe or (vectorized) scan per `exec`, pushdown folded in. Returns
   // true when the appended hits are already filtered by `test`.
@@ -304,11 +268,9 @@ class AxisEvaluator {
   void NormalizeDocumentOrder(const goddag::OverlayView* view,
                               std::vector<goddag::NodeId>* ids) const;
 
+  const goddag::DocumentSnapshot* snapshot_;
+  // snapshot_->goddag(), cached for the hot navigation paths.
   const goddag::KyGoddag* goddag_;
-  // Non-null iff snapshot-bound; goddag_ then points at snapshot_->goddag().
-  const goddag::DocumentSnapshot* snapshot_ = nullptr;
-  AxisOptions options_;
-  mutable std::unique_ptr<goddag::RangeIndex> index_;
   mutable size_t index_rebuild_count_ = 0;
   mutable std::atomic<size_t> sorts_skipped_{0};
 };

@@ -13,12 +13,13 @@
 //     two arrays) selected once per process by runtime CPU dispatch.
 //
 // Every path evaluates exactly ExtendedAxisMatches (xpath/axes.h) —
-// byte-identity to the naive scan is pinned by tests — and emits matches
-// into a bitset that one conversion pass turns into a NodeId list. Offsets
-// are compared as *signed* 32-bit lanes (SSE2/AVX2 have no unsigned
-// compare); RangeSoA is only built when the base text fits INT32_MAX, so
-// the reinterpretation is exact. An optional interned name key (pushdown,
-// goddag::kNoNameKey = off) folds the element-name test into the same scan.
+// agreement with a literal Definition-1 loop is pinned by tests — and
+// emits matches into a bitset that one conversion pass turns into a NodeId
+// list. Offsets are compared as *signed* 32-bit lanes (SSE2/AVX2 have no
+// unsigned compare); RangeSoA is only built when the base text fits
+// INT32_MAX, so the reinterpretation is exact. An optional interned name
+// key (pushdown, goddag::kNoNameKey = off) folds the element-name test into
+// the same scan.
 //
 // Thread-safety: kernels are pure functions over immutable snapshot state;
 // the only shared mutation is the relaxed dispatch counter.
@@ -55,7 +56,7 @@ KernelIsa DispatchedKernelIsa();
 // goddag::kInvalidNode) is dropped; `name_key` != goddag::kNoNameKey
 // additionally requires the element's interned name to equal it. Returns
 // false — appending nothing — when `soa` is invalid (text too large for
-// the packed layout); the caller then falls back to the GNode scan.
+// the packed layout); the caller then probes the RangeIndex instead.
 // `isa` selects the code path (kAuto = runtime dispatch); wider requests
 // than the CPU supports clamp down, never fault.
 bool ScanExtendedAxis(const goddag::RangeSoA& soa, Axis axis,

@@ -961,8 +961,8 @@ class Evaluator {
       // only then merged. Every producer declares an xpath::Ordering for its
       // run; the declared guarantee replaces the former unconditional
       // sort+dedup with the cheapest sufficient fix-up — nothing, a linear
-      // dedup, or (across runs) a linear k-way merge. QueryOptions::
-      // force_step_sort restores brute force so tests can pin equivalence.
+      // dedup, or (across runs) a linear k-way merge. PlanMode::kForceSort
+      // restores brute force so tests can pin equivalence.
       std::vector<Sequence> runs;
       runs.reserve(current.size());
       for (const Item& item : current) {
@@ -970,7 +970,7 @@ class Evaluator {
         xpath::Ordering ordering = xpath::Ordering::kUnordered;
         MHX_RETURN_IF_ERROR(
             EvalStep(item, step, path.offset, &from_item, &ordering));
-        if (options_->force_step_sort) {
+        if (options_->plan_mode == PlanMode::kForceSort) {
           SortAndDedup(&from_item);
         } else {
           switch (ordering) {
@@ -1006,14 +1006,14 @@ class Evaluator {
                runs.end());
     if (runs.empty()) return {};
     if (runs.size() == 1) {
-      if (options_->force_step_sort) {
+      if (options_->plan_mode == PlanMode::kForceSort) {
         SortAndDedup(&runs.front());
       } else {
         NoteSortSkipped(runs.front());
       }
       return std::move(runs.front());
     }
-    if (options_->force_step_sort) {
+    if (options_->plan_mode == PlanMode::kForceSort) {
       Sequence merged;
       for (Sequence& run : runs) {
         std::move(run.begin(), run.end(), std::back_inserter(merged));
@@ -1106,9 +1106,10 @@ class Evaluator {
       // plus overlay scan, normalised to document order by the evaluator.
       // Extended axes run the planned strategy — indexed probe vs.
       // vectorized scan, name test pushed into either — except under
-      // kForceSort, which keeps the legacy brute-force path verbatim as
-      // the byte-identity baseline.
-      if (xpath::IsExtendedAxis(step.axis) && !options_->force_step_sort) {
+      // kForceSort, which keeps the unplanned brute-force path as the
+      // byte-identity baseline.
+      if (xpath::IsExtendedAxis(step.axis) &&
+          options_->plan_mode != PlanMode::kForceSort) {
         const xpath::StepExec exec = StepExecFor(step);
         ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
         NotePlannedStep(exec, test);
@@ -1178,7 +1179,7 @@ class Evaluator {
   // properly overlapping a leaf cannot exist (its boundary would have split
   // the leaf), so `overlapping` is always empty — computed anyway for
   // uniformity. Output comes back filtered by `test`: the planned path
-  // pre-filters inside the probe/kernel, the kForceSort legacy path
+  // pre-filters inside the probe/kernel, the kForceSort path
   // re-filters here, so callers never re-test.
   Status LeafContextStep(const TextRange& range, const PathStep& step,
                          const xpath::NodeTest& test, size_t offset,
@@ -1210,7 +1211,7 @@ class Evaluator {
                                        std::string(xpath::AxisName(axis)) +
                                        " cannot start from a leaf");
     }
-    if (options_->force_step_sort) {
+    if (options_->plan_mode == PlanMode::kForceSort) {
       *ids = axes_.EvaluateRange(*view_, range, extended);
       ids->erase(std::remove_if(ids->begin(), ids->end(),
                                 [&](goddag::NodeId id) {
@@ -1618,7 +1619,7 @@ Engine::Engine(const MultihierarchicalDocument* document,
       counters_(counters != nullptr ? std::move(counters)
                                     : std::make_shared<EngineCounters>()) {}
 
-Engine::~Engine() = default;
+Engine::~Engine() { plans_->ForgetDocument(document_); }
 
 std::shared_ptr<const Engine::SnapshotAxes> Engine::PinAxes() {
   // Guarded: concurrent evaluations reach this; entry turnover on a new
@@ -1644,9 +1645,7 @@ std::shared_ptr<const Engine::SnapshotAxes> Engine::PinAxes() {
   // can reach them: evaluation never mutates the snapshot (temporaries
   // live in overlays), so after this both are plain reads for any number
   // of concurrent evaluations. Writer-prebuilt snapshots make both no-ops;
-  // the lazily indexed initial version builds here once, and a legacy
-  // mutable_goddag() edit (revision moved past the snapshot stamp)
-  // re-materialises here, once per edit.
+  // the lazily indexed initial version builds here once.
   axes_entry_->snapshot->goddag().leaves();
   axes_entry_->axes.index();
   // Statistics follow the same build-once discipline as the index:
@@ -1723,14 +1722,6 @@ StatusOr<Engine::EvaluationOutput> Engine::EvaluateInternal(
   // slot sizing) on one code path with identical plans and counters.
   QueryOptions normalized = options;
   if (normalized.threads == 0) normalized.threads = 1;
-  // The deprecated force_step_sort flag and PlanMode::kForceSort are one
-  // mode: normalise both directions so every later decision reads either
-  // field and sees the same answer.
-  if (normalized.force_step_sort) {
-    normalized.plan_mode = PlanMode::kForceSort;
-  } else if (normalized.plan_mode == PlanMode::kForceSort) {
-    normalized.force_step_sort = true;
-  }
   base::ThreadPool* fan_out_pool = pool(normalized.threads);
   std::shared_ptr<const SnapshotAxes> pinned;
   std::shared_ptr<const QueryPlan> plan;

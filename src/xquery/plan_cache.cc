@@ -75,6 +75,14 @@ std::shared_ptr<const QueryPlan> PlanCache::PlanFor(
   return entry.second;
 }
 
+void PlanCache::ForgetDocument(const void* doc_key) {
+  std::lock_guard<std::mutex> lock(annotations_mu_);
+  for (auto& [expr, plans] : annotations_) {
+    std::lock_guard<std::mutex> plans_lock(plans->mu);
+    plans->by_doc.erase(doc_key);
+  }
+}
+
 size_t PlanCache::plan_count() const {
   size_t count = 0;
   for (size_t s = 0; s < shard_count_; ++s) {

@@ -129,6 +129,13 @@ class PlanCache {
       const Expr* expr, const void* doc_key, uint64_t version,
       const std::function<QueryPlan()>& build);
 
+  // Drops every step plan cached for `doc_key`. An engine calls this as it
+  // dies: otherwise a shared cache keeps one plan per expr for every
+  // document ever served — growing without bound under corpus eviction —
+  // and hands them to a later document that reuses the address at the same
+  // version number. Thread-safe.
+  void ForgetDocument(const void* doc_key);
+
   // Step-plan rebuilds PlanFor has run (first plan and replans alike):
   // under steady traffic this advances only when commits publish new
   // snapshot versions. Counter reference for MetricsRegistry registration.

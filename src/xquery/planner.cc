@@ -16,7 +16,8 @@ namespace {
 // per-tree-level overhead of an index probe, kSoaScanCost the per-element
 // cost of the vectorized kernels relative to a scalar table walk (the E9
 // kernel lanes measure ~10-20x; 0.05 keeps a safety margin), and
-// kScalarScanCost the plain naive scan.
+// kScalarScanCost a scan with no packed layout (the evaluator answers it
+// with the index probe, so the high price just steers plans away).
 constexpr double kProbeCost = 4.0;
 constexpr double kSoaScanCost = 0.05;
 constexpr double kScalarScanCost = 1.0;

@@ -5,8 +5,7 @@
 // pinned snapshot's goddag::SnapshotStats. Three decisions per step:
 //
 //   * indexed probe vs. full scan for the extended axes — cost model
-//     below, evaluated against real per-snapshot statistics instead of
-//     the old per-call AxisOptions{use_index} flag;
+//     below, evaluated against real per-snapshot statistics;
 //   * predicate pushdown — a name test folds into the RangeIndex probe or
 //     scan kernel as an interned-key compare, filtering candidates before
 //     they materialise;
@@ -53,8 +52,8 @@ enum class PlanMode {
   kAuto,          // planner-chosen per step (the default)
   kForceNaive,    // every extended-axis step scans; no pushdown
   kForceIndexed,  // every extended-axis step probes the index; no pushdown
-  kForceSort,     // legacy brute force: indexed, plus re-sort+dedup after
-                  // every step (the old force_step_sort)
+  kForceSort,     // brute force: indexed, plus re-sort+dedup after every
+                  // step — the byte-identity baseline
 };
 
 std::string_view PlanModeName(PlanMode mode);

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "document.h"
+#include "goddag/overlay.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xpath/axes.h"
@@ -14,9 +16,11 @@
 namespace mhx::xpath {
 namespace {
 
+using goddag::GNode;
 using goddag::GNodeKind;
 using goddag::KyGoddag;
 using goddag::NodeId;
+using goddag::OverlayView;
 
 constexpr Axis kExtendedAxes[] = {Axis::kXAncestor, Axis::kXDescendant,
                                   Axis::kOverlapping, Axis::kXFollowing,
@@ -44,14 +48,16 @@ class PaperAxesTest : public ::testing::Test {
     auto doc = workload::BuildPaperDocument();
     ASSERT_TRUE(doc.ok()) << doc.status();
     doc_ = std::make_unique<MultihierarchicalDocument>(std::move(doc).value());
+    snapshot_ = doc_->PinSnapshot();
   }
 
   std::unique_ptr<MultihierarchicalDocument> doc_;
+  std::shared_ptr<const goddag::DocumentSnapshot> snapshot_;
 };
 
 TEST_F(PaperAxesTest, WordCrossingLinesOverlapsBoth) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
   auto lines = axes.Evaluate(word, Axis::kOverlapping, NodeTest::Name("line"));
   ASSERT_EQ(lines.size(), 2u);
@@ -64,8 +70,8 @@ TEST_F(PaperAxesTest, WordCrossingLinesOverlapsBoth) {
 }
 
 TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   // "eac" [33,36) sits inside dmg [30,38), line-crossing damage.
   NodeId eac = FindElement(kg, 1, "w", "eac");
   auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kXAncestor);
@@ -85,8 +91,8 @@ TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
 }
 
 TEST_F(PaperAxesTest, XDescendantFindsDamageInsideWord) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId word = FindElement(kg, 1, "w", "unawendendne");
   auto dmg = axes.Evaluate(word, Axis::kXDescendant, NodeTest::Name("dmg"));
   ASSERT_EQ(dmg.size(), 1u);
@@ -98,8 +104,8 @@ TEST_F(PaperAxesTest, XDescendantFindsDamageInsideWord) {
 }
 
 TEST_F(PaperAxesTest, OrderingAxes) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId sceaft = FindElement(kg, 1, "w", "sceaft");  // [22,28)
   auto following = axes.Evaluate(sceaft, Axis::kXFollowing,
                                  NodeTest::Name("w"));
@@ -111,8 +117,8 @@ TEST_F(PaperAxesTest, OrderingAxes) {
 }
 
 TEST_F(PaperAxesTest, StandardAxes) {
-  const KyGoddag& kg = doc_->goddag();
-  AxisEvaluator axes(&kg);
+  const KyGoddag& kg = snapshot_->goddag();
+  AxisEvaluator axes(snapshot_.get());
   NodeId root = kg.root();
   auto all = axes.EvaluateAxisOnly(root, Axis::kDescendant);
   EXPECT_EQ(all.size(), kg.element_count());
@@ -137,26 +143,115 @@ TEST_F(PaperAxesTest, StandardAxes) {
   }
 }
 
-// The tentpole equivalence: naive Definition-1 scan and indexed evaluation
-// must return identical node sets for every extended axis and every element
-// context, on the paper document and on a generated edition with virtual
-// hierarchies layered on top.
-void ExpectNaiveIndexedAgree(const KyGoddag& kg) {
-  AxisEvaluator naive(&kg, AxisOptions{/*use_index=*/false});
-  AxisEvaluator indexed(&kg, AxisOptions{/*use_index=*/true});
+// The literal Definition-1 answer, written independently of the evaluator:
+// every element of the base table and of the view's overlays (the context
+// excluded) whose range stands in `axis` relation to the context's and
+// that passes `test`, in document order (range, then id).
+std::vector<NodeId> DefinitionOne(const OverlayView& view, NodeId context,
+                                  Axis axis, const NodeTest& test) {
+  const TextRange range = view.node(context).range;
+  std::vector<NodeId> out;
+  auto consider = [&](NodeId id, const GNode& node) {
+    if (id != context && node.kind == GNodeKind::kElement &&
+        test.Matches(node) && ExtendedAxisMatches(axis, range, node.range)) {
+      out.push_back(id);
+    }
+  };
+  const KyGoddag& kg = view.base();
   for (NodeId id = 0; id < kg.node_table_size(); ++id) {
-    if (kg.node(id).kind != GNodeKind::kElement) continue;
+    consider(id, kg.node(id));
+  }
+  for (const auto& overlay : view.overlays()) {
+    for (NodeId id = overlay->elements_begin(); id < overlay->id_end(); ++id) {
+      consider(id, overlay->node(id));
+    }
+  }
+  std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
+    const TextRange& ra = view.node(a).range;
+    const TextRange& rb = view.node(b).range;
+    return ra != rb ? ra < rb : a < b;
+  });
+  return out;
+}
+
+// Every element context the view can name: the base table's, then the
+// overlays'.
+std::vector<NodeId> ElementContexts(const OverlayView& view) {
+  std::vector<NodeId> out;
+  const KyGoddag& kg = view.base();
+  for (NodeId id = 0; id < kg.node_table_size(); ++id) {
+    if (kg.node(id).kind == GNodeKind::kElement) out.push_back(id);
+  }
+  for (const auto& overlay : view.overlays()) {
+    for (NodeId id = overlay->elements_begin(); id < overlay->id_end(); ++id) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+void ExpectAgreeInView(const AxisEvaluator& axes, const OverlayView& view) {
+  const NodeTest tests[] = {NodeTest::Any(), NodeTest::Name("w")};
+  for (NodeId id : ElementContexts(view)) {
     for (Axis axis : kExtendedAxes) {
-      EXPECT_EQ(naive.EvaluateAxisOnly(id, axis),
-                indexed.EvaluateAxisOnly(id, axis))
-          << "axis " << AxisName(axis) << " context node " << id << " '"
-          << kg.node(id).name << "'";
+      for (const NodeTest& test : tests) {
+        const std::vector<NodeId> expected =
+            DefinitionOne(view, id, axis, test);
+        const auto where = [&] {
+          return "axis " + std::string(AxisName(axis)) + " test '" +
+                 test.name() + "' context " + std::to_string(id) + " '" +
+                 view.node(id).name + "'";
+        };
+        EXPECT_EQ(axes.Evaluate(view, id, axis, test), expected) << where();
+        for (bool pushdown : {false, true}) {
+          EXPECT_EQ(axes.EvaluatePlanned(view, id, axis, test,
+                                         StepExec{/*use_index=*/false,
+                                                  pushdown}),
+                    expected)
+              << "scan, pushdown " << pushdown << ", " << where();
+          EXPECT_EQ(axes.EvaluatePlanned(view, id, axis, test,
+                                         StepExec{/*use_index=*/true,
+                                                  pushdown}),
+                    expected)
+              << "probe, pushdown " << pushdown << ", " << where();
+        }
+      }
     }
   }
 }
 
+// The tentpole equivalence: the planned scan, the planned probe and the
+// unplanned evaluation must each return the literal Definition-1 node set
+// for every extended axis and every element context — over the base
+// document alone, and through an overlay view that adds a temporary
+// hierarchy (whose elements then serve as contexts too).
+void ExpectScanProbeAndDefinitionAgree(
+    const goddag::DocumentSnapshot& snapshot) {
+  const KyGoddag& kg = snapshot.goddag();
+  AxisEvaluator axes(&snapshot);
+  OverlayView plain(&kg);
+  ExpectAgreeInView(axes, plain);
+  for (NodeId id : ElementContexts(plain)) {
+    for (Axis axis : kExtendedAxes) {
+      EXPECT_EQ(axes.Evaluate(id, axis, NodeTest::Any()),
+                DefinitionOne(plain, id, axis, NodeTest::Any()))
+          << "base-only, axis " << AxisName(axis) << " context " << id;
+    }
+  }
+
+  const size_t n = kg.base_text().size();
+  auto overlay = goddag::GoddagOverlay::Create(
+      &kg, std::make_shared<goddag::OverlayIdAllocator>(), "match",
+      {goddag::VirtualElement{"w", TextRange(n / 8, n / 2), {}},
+       goddag::VirtualElement{"g", TextRange(n / 4, n / 3), {}}});
+  ASSERT_TRUE(overlay.ok()) << overlay.status();
+  OverlayView overlaid(&kg);
+  overlaid.AddOverlay(*overlay);
+  ExpectAgreeInView(axes, overlaid);
+}
+
 TEST_F(PaperAxesTest, NaiveAndIndexedAgreeOnPaperDocument) {
-  ExpectNaiveIndexedAgree(doc_->goddag());
+  ExpectScanProbeAndDefinitionAgree(*snapshot_);
 }
 
 TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
@@ -168,34 +263,21 @@ TEST(EditionAxesTest, NaiveAndIndexedAgreeOnGeneratedEdition) {
   config.restoration_coverage = 0.2;
   auto doc = workload::BuildEditionDocument(config);
   ASSERT_TRUE(doc.ok()) << doc.status();
-  KyGoddag* kg = doc->mutable_goddag();
-  // Layer a virtual hierarchy on top so recycled node ids are exercised too.
-  auto h = kg->AddVirtualHierarchy(
+  // Layer a virtual hierarchy on top so recycled node ids are exercised too:
+  // add, remove, and add again, one commit each.
+  auto add = doc->NewWriter();
+  add.AddVirtualHierarchy(
       "match", {goddag::VirtualElement{"m", TextRange(10, 60), {}},
                 goddag::VirtualElement{"g", TextRange(20, 40), {}}});
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(kg->RemoveVirtualHierarchy(*h).ok());
-  auto h2 = kg->AddVirtualHierarchy(
+  ASSERT_TRUE(add.Commit().ok());
+  auto remove = doc->NewWriter();
+  remove.RemoveVirtualHierarchy("match");
+  ASSERT_TRUE(remove.Commit().ok());
+  auto add_again = doc->NewWriter();
+  add_again.AddVirtualHierarchy(
       "match2", {goddag::VirtualElement{"m", TextRange(15, 75), {}}});
-  ASSERT_TRUE(h2.ok());
-  ExpectNaiveIndexedAgree(*kg);
-}
-
-TEST(EditionAxesTest, EvaluatorRebuildsIndexAfterMutation) {
-  auto doc = workload::BuildPaperDocument();
-  ASSERT_TRUE(doc.ok());
-  KyGoddag* kg = doc->mutable_goddag();
-  AxisEvaluator axes(kg, AxisOptions{/*use_index=*/true});
-  NodeId word = FindElement(*kg, 1, "w", "unawendendne");
-  size_t before = axes.EvaluateAxisOnly(word, Axis::kXAncestor).size();
-  auto h = kg->AddVirtualHierarchy(
-      "v", {goddag::VirtualElement{"x", TextRange(9, 21), {}}});
-  ASSERT_TRUE(h.ok());
-  // The new <x> (same range as the word) plus the virtual root <v> must show
-  // up — the evaluator detects the revision change and reindexes.
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, Axis::kXAncestor).size(), before + 2);
-  ASSERT_TRUE(kg->RemoveVirtualHierarchy(*h).ok());
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, Axis::kXAncestor).size(), before);
+  ASSERT_TRUE(add_again.Commit().ok());
+  ExpectScanProbeAndDefinitionAgree(*doc->PinSnapshot());
 }
 
 TEST(AxisNameTest, RoundTrips) {

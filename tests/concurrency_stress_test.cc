@@ -228,6 +228,41 @@ TEST(ConcurrencyStressTest, MutateWhileQueryingRace) {
   EXPECT_EQ(doc.engine()->overlay_id_exhausted(), 0u);
 }
 
+// base_text() is documented thread-safe without pinning: one thread reads
+// it in a loop while another commits version after version. Every version
+// shares one refcounted text, so the reference stays valid and the text
+// never changes; TSan checks that the read takes no unsynchronised path
+// through the publish pointer the writer swaps.
+TEST(ConcurrencyStressTest, BaseTextRacesCommits) {
+  auto built = workload::BuildPaperDocument();
+  ASSERT_TRUE(built.ok()) << built.status();
+  MultihierarchicalDocument doc = std::move(built).value();
+  const std::string expected = doc.base_text();
+  const std::vector<goddag::VirtualElement> damage = {
+      goddag::VirtualElement{"gap", TextRange(4, 9), {}}};
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (doc.base_text().size() != expected.size()) ++failures;
+    }
+  });
+  for (int i = 0; i < StressIters(50); ++i) {
+    auto writer = doc.NewWriter();
+    if (i % 2 == 0) {
+      writer.AddVirtualHierarchy("damage", damage);
+    } else {
+      writer.RemoveVirtualHierarchy("damage");
+    }
+    if (!writer.Commit().ok()) ++failures;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(doc.base_text(), expected);
+}
+
 // Kept-temporaries registry churn racing readers: one thread keeps and
 // releases handles (EvaluateKeepingTemporaries / handle drop) while others
 // evaluate queries whose views snapshot the registry. Reader results vary

@@ -67,9 +67,10 @@ TEST(FragmentationTest, AgreesWithAxesOnEdition) {
   config.restoration_coverage = 0.15;
   auto doc = workload::BuildEditionDocument(config);
   ASSERT_TRUE(doc.ok());
-  const goddag::KyGoddag& kg = doc->goddag();
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::KyGoddag& kg = snapshot->goddag();
   FragmentationEncoding enc = FragmentationEncoding::Encode(kg);
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
 
   size_t axis_pairs = 0;
   size_t axis_containing = 0;

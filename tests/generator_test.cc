@@ -76,13 +76,14 @@ TEST(GeneratorTest, ShortLinesProduceWordLineConflicts) {
   config.chars_per_line = 13;
   auto doc = BuildEditionDocument(config);
   ASSERT_TRUE(doc.ok()) << doc.status();
-  const goddag::KyGoddag& kg = doc->goddag();
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::KyGoddag& kg = snapshot->goddag();
   // Hierarchy ids follow AddHierarchy order.
   EXPECT_EQ(kg.hierarchy(0).name, "physical");
   EXPECT_EQ(kg.hierarchy(1).name, "structural");
   EXPECT_EQ(kg.hierarchy(2).name, "restoration");
   EXPECT_EQ(kg.hierarchy(3).name, "condition");
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
   size_t conflicted_words = 0;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {
     const goddag::GNode& n = kg.node(id);

@@ -35,6 +35,12 @@ KyGoddag PaperGoddag() {
   return kg;
 }
 
+// PaperGoddag published as a snapshot, the unit an AxisEvaluator binds to.
+std::shared_ptr<const DocumentSnapshot> PaperSnapshot() {
+  return DocumentSnapshot::Create(std::make_shared<KyGoddag>(PaperGoddag()),
+                                  /*version=*/1, /*prebuild_index=*/false);
+}
+
 std::shared_ptr<const GoddagOverlay> MustCreate(
     const KyGoddag* base, std::shared_ptr<OverlayIdAllocator> ids,
     const std::string& name, std::vector<VirtualElement> elements) {
@@ -263,11 +269,11 @@ TEST(OverlayViewTest, MergedLeavesSplitAtOverlayBoundaries) {
 }
 
 TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = PaperSnapshot();
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
 
   // The persistent <w> spanning "unawendendne" [9,21).
   NodeId word = kInvalidNode;
@@ -327,11 +333,11 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
 }
 
 TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = PaperSnapshot();
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
   auto overlay = MustCreate(&kg, ids, "result",
                             {VirtualElement{"m", TextRange(4, 6), {}},
                              VirtualElement{"m", TextRange(9, 14), {}}});
@@ -388,10 +394,10 @@ TEST(OverlayViewTest, BatchedSpliceHandlesManyBoundariesInOnePass) {
 }
 
 TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
-  KyGoddag kg = PaperGoddag();
-  kg.leaves();
+  const auto snapshot = PaperSnapshot();
+  const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
-  xpath::AxisEvaluator axes(&kg);
+  xpath::AxisEvaluator axes(snapshot.get());
 
   // Coordinator view with one overlay ("the evaluation so far").
   OverlayView coordinator(&kg);

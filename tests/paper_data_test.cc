@@ -38,8 +38,9 @@ TEST(PaperDataTest, BuildsWithFourHierarchies) {
 TEST(PaperDataTest, FigureOneOverlapsArePresent) {
   auto doc = BuildPaperDocument();
   ASSERT_TRUE(doc.ok());
-  const goddag::KyGoddag& kg = doc->goddag();
-  xpath::AxisEvaluator axes(&kg);
+  const auto snapshot = doc->PinSnapshot();
+  const goddag::KyGoddag& kg = snapshot->goddag();
+  xpath::AxisEvaluator axes(snapshot.get());
   // The Example 1 word is broken across two lines.
   goddag::NodeId word = goddag::kInvalidNode;
   for (goddag::NodeId id : kg.hierarchy(1).nodes) {

@@ -73,8 +73,7 @@ StatusOr<MappedSnapshot> Adopt(std::string image) {
 }
 
 MultihierarchicalDocument DocumentOf(MappedSnapshot mapped) {
-  return MultihierarchicalDocument::FromSnapshot(std::move(mapped.head),
-                                                 std::move(mapped.snapshot));
+  return MultihierarchicalDocument::FromSnapshot(std::move(mapped.snapshot));
 }
 
 // A scratch directory for the file-based tests, removed on teardown as far

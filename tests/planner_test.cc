@@ -392,6 +392,47 @@ TEST(PlanCacheTest, ReplansOnlyOnVersionOrKeyChange) {
   EXPECT_EQ(cache.plan_replans(), 4u);
 }
 
+TEST(PlanCacheTest, ForgetDocumentDropsOnlyThatDocumentsPlans) {
+  xquery::PlanCache cache;
+  auto expr = xquery::ParseQuery("/descendant::w");
+  ASSERT_TRUE(expr.ok());
+  int builds = 0;
+  auto build = [&builds] {
+    ++builds;
+    return xquery::QueryPlan{};
+  };
+  const int doc_a = 0;
+  const int doc_b = 0;
+  cache.PlanFor(expr->get(), &doc_a, 1, build);
+  cache.PlanFor(expr->get(), &doc_b, 1, build);
+  EXPECT_EQ(builds, 2);
+  cache.ForgetDocument(&doc_a);
+  // doc_b keeps its plan; doc_a — or a new document at its address, at the
+  // same version — plans afresh.
+  cache.PlanFor(expr->get(), &doc_b, 1, build);
+  EXPECT_EQ(builds, 2);
+  cache.PlanFor(expr->get(), &doc_a, 1, build);
+  EXPECT_EQ(builds, 3);
+}
+
+// A shared cache (the corpus shape) outlives the engines that fill it: each
+// engine takes its document's plans with it when it dies.
+TEST(PlanCacheTest, DyingEngineForgetsItsDocumentsPlans) {
+  auto doc = BuildEdition(100, 7);
+  auto plans = std::make_shared<xquery::PlanCache>();
+  const char* kQuery = "/descendant::w[xancestor::dmg]";
+  {
+    xquery::Engine first(&doc, plans, nullptr);
+    ASSERT_TRUE(first.Evaluate(kQuery).ok());
+  }
+  EXPECT_EQ(plans->plan_replans(), 1u);
+  xquery::Engine second(&doc, plans, nullptr);
+  ASSERT_TRUE(second.Evaluate(kQuery).ok());
+  EXPECT_EQ(plans->plan_replans(), 2u);
+  ASSERT_TRUE(second.Evaluate(kQuery).ok());
+  EXPECT_EQ(plans->plan_replans(), 2u);
+}
+
 // --- Engine surface ---------------------------------------------------------
 
 TEST(PlannerTest, ExplainPlanNamesStrategiesAndKernel) {
@@ -417,12 +458,12 @@ TEST(PlannerTest, PlanModesAreByteIdenticalAndCountersMove) {
       "for $w in /descendant::w[xancestor::dmg or xdescendant::res or "
       "overlapping::dmg] return <m>{$w/xfollowing::line[1]}</m>";
 
+  using xquery::PlanMode;
   QueryOptions brute;
-  brute.force_step_sort = true;
+  brute.plan_mode = PlanMode::kForceSort;
   auto baseline = doc.Query(kQuery, brute);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  using xquery::PlanMode;
   for (PlanMode mode : {PlanMode::kAuto, PlanMode::kForceNaive,
                         PlanMode::kForceIndexed, PlanMode::kForceSort}) {
     QueryOptions options;

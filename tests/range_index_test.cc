@@ -96,8 +96,10 @@ TEST_F(RangeIndexTest, MatchesBruteForceOnManyQueries) {
 }
 
 TEST_F(RangeIndexTest, SnapshotCarriesRevision) {
-  KyGoddag* kg = doc_->mutable_goddag();
-  RangeIndex index(kg);
+  // A bare clone stands in for a writer's private copy: the index stamps
+  // the revision it was built at and does not follow later edits.
+  std::unique_ptr<KyGoddag> kg = doc_->goddag().Clone();
+  RangeIndex index(kg.get());
   EXPECT_EQ(index.revision(), kg->revision());
   auto h = kg->AddVirtualHierarchy(
       "v", {VirtualElement{"x", TextRange(1, 5), {}}});

@@ -291,37 +291,45 @@ TEST_F(XQueryEngineTest, ExternalMutationsRebuildTheIndexOnce) {
   Engine* engine = doc_->engine();
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "0");
   const size_t builds = engine->index_rebuild_count();
-  // Mutate the document directly — the one thing that can invalidate the
-  // base index (overlay temporaries never do).
-  auto hid = doc_->mutable_goddag()->AddVirtualHierarchy(
+  // Commit a hierarchy — the one thing that changes the base index
+  // (overlay temporaries never do). The writer builds the new version's
+  // index once, before publishing it.
+  auto add = doc_->NewWriter();
+  add.AddVirtualHierarchy(
       "notes", {goddag::VirtualElement{"note", TextRange(9, 21), {}}});
-  ASSERT_TRUE(hid.ok()) << hid.status();
-  // The next evaluation must see the new hierarchy on extended axes (one
-  // snapshot rebuild), then stay stable.
+  ASSERT_TRUE(add.Commit().ok());
+  // The next evaluation sees the new hierarchy on extended axes and pays
+  // no rebuild of its own; later ones stay stable.
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "1");
-  EXPECT_EQ(engine->index_rebuild_count(), builds + 1);
+  EXPECT_EQ(engine->index_rebuild_count(), builds);
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "1");
-  EXPECT_EQ(engine->index_rebuild_count(), builds + 1);
-  ASSERT_TRUE(doc_->mutable_goddag()->RemoveVirtualHierarchy(*hid).ok());
+  EXPECT_EQ(engine->index_rebuild_count(), builds);
+  auto remove = doc_->NewWriter();
+  remove.RemoveVirtualHierarchy("notes");
+  ASSERT_TRUE(remove.Commit().ok());
   EXPECT_EQ(Query("count(/descendant::w[xancestor::note])"), "0");
+  EXPECT_EQ(engine->index_rebuild_count(), builds);
 }
 
 TEST_F(XQueryEngineTest, TemporariesNeverServeStaleIndexEntries) {
   Engine* engine = doc_->engine();
-  // Keep temporaries over "unawendendne", then mutate the document
-  // directly so the base index rebuilds while they are alive. Overlay
-  // nodes must stay out of the rebuilt index (they are scanned, never
-  // indexed), yet remain visible on extended axes.
+  // Keep temporaries over "unawendendne", then commit a hierarchy so a
+  // new version with its own base index is published while they are
+  // alive. Overlay nodes must stay out of that index (they are scanned,
+  // never indexed), yet remain visible on extended axes.
   auto kept = engine->EvaluateKeepingTemporaries(
       "analyze-string(/descendant::w[string(.) = 'unawendendne'],"
       " \".*un<a>a</a>we.*\")");
   ASSERT_TRUE(kept.ok()) << kept.status();
-  auto hid = doc_->mutable_goddag()->AddVirtualHierarchy(
+  auto writer = doc_->NewWriter();
+  writer.AddVirtualHierarchy(
       "notes", {goddag::VirtualElement{"note", TextRange(0, 5), {}}});
-  ASSERT_TRUE(hid.ok()) << hid.status();
+  ASSERT_TRUE(writer.Commit().ok());
+  const size_t builds = engine->index_rebuild_count();
   EXPECT_EQ(Query("count(/descendant::w[string(.) = 'unawendendne']"
                   "/xdescendant::a)"),
             "1");
+  EXPECT_EQ(engine->index_rebuild_count(), builds);
   // Drop the kept hierarchy, then run a fresh analyze-string over a
   // different word. The old word's extended axes must see only the
   // persistent <dmg> inside it — the dropped overlay's nodes are gone, and
