@@ -3,8 +3,8 @@
 // Experiment E9 (DESIGN.md): the ablation the paper lists as future work —
 // extended-axis evaluation with the leaf-interval RangeIndex probe vs. the
 // full Definition-1 scan, swept over edition size. Both lanes run the
-// planner's two physical strategies through AxisEvaluator::EvaluatePlanned
-// on a pinned snapshot: BM_*_Scan with StepExec{use_index = false} (the
+// planner's two physical strategies through AxisEvaluator::Evaluate on a
+// pinned snapshot: BM_*_Scan with StepExec{use_index = false} (the
 // vectorized RangeSoA kernels), BM_*_Indexed with use_index = true.
 //
 // Expected shape: the scan is linear in the total node count for every
@@ -81,7 +81,7 @@ void RunAxis(benchmark::State& state, Axis axis, bool use_index) {
   size_t results = 0;
   for (auto _ : state) {
     for (NodeId context : contexts) {
-      auto nodes = axes.EvaluatePlanned(view, context, axis, any, exec);
+      auto nodes = axes.Evaluate(view, context, axis, any, exec);
       results += nodes.size();
       benchmark::DoNotOptimize(nodes);
     }
@@ -185,8 +185,8 @@ void BM_StandardDescendant(benchmark::State& state) {
   const auto snapshot = doc->PinSnapshot();
   AxisEvaluator axes(snapshot.get());
   for (auto _ : state) {
-    auto nodes = axes.EvaluateAxisOnly(snapshot->goddag().root(),
-                                       Axis::kDescendant);
+    auto nodes = axes.Evaluate(snapshot->goddag().root(), Axis::kDescendant,
+                               mhx::xpath::NodeTest::Any());
     benchmark::DoNotOptimize(nodes);
   }
   state.SetComplexityN(state.range(0));

@@ -64,16 +64,25 @@ std::string_view AxisName(Axis axis) {
   return "unknown";
 }
 
-std::string_view OrderingName(Ordering ordering) {
-  switch (ordering) {
-    case Ordering::kDocOrderNoDupes:
-      return "doc-order-no-dupes";
-    case Ordering::kSortedMayDupe:
-      return "sorted-may-dupe";
-    case Ordering::kUnordered:
-      return "unordered";
+std::optional<Axis> LeafContextAxis(Axis axis) {
+  switch (axis) {
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+    case Axis::kXAncestor:
+      return Axis::kXAncestor;
+    case Axis::kXDescendant:
+      return Axis::kXDescendant;
+    case Axis::kOverlapping:
+      return Axis::kOverlapping;
+    case Axis::kFollowing:
+    case Axis::kXFollowing:
+      return Axis::kXFollowing;
+    case Axis::kPreceding:
+    case Axis::kXPreceding:
+      return Axis::kXPreceding;
+    default:
+      return std::nullopt;
   }
-  return "unknown";
 }
 
 bool ExtendedAxisMatches(Axis axis, const TextRange& context,
@@ -147,13 +156,6 @@ const goddag::RangeIndex& AxisEvaluator::index() const {
   return snapshot_->index();
 }
 
-Ordering AxisEvaluator::ResultOrdering(Axis axis) {
-  // Every axis: each traversal visits a node at most once, and
-  // NormalizeDocumentOrder establishes document order before returning.
-  (void)axis;
-  return Ordering::kDocOrderNoDupes;
-}
-
 void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
                                            std::vector<NodeId>* ids) const {
   if (ids->size() < 2) return;
@@ -163,11 +165,9 @@ void AxisEvaluator::NormalizeDocumentOrder(const goddag::OverlayView* view,
     if (ra != rb) return ra < rb;
     return a < b;
   };
-  if (std::is_sorted(ids->begin(), ids->end(), cmp)) {
-    sorts_skipped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  if (!std::is_sorted(ids->begin(), ids->end(), cmp)) {
+    std::sort(ids->begin(), ids->end(), cmp);
   }
-  std::sort(ids->begin(), ids->end(), cmp);
 }
 
 void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
@@ -204,7 +204,7 @@ void AxisEvaluator::EvaluateExtendedIndexed(const TextRange& c,
 void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
                                          Axis axis,
                                          const TextRange& context_range,
-                                         NodeId exclude, const NodeTest* test,
+                                         NodeId exclude, const NodeTest& test,
                                          std::vector<NodeId>* out) const {
   // A forked worker view holds only the overlays its own evaluation
   // created; everything else visible to it (kept hierarchies, the
@@ -218,7 +218,7 @@ void AxisEvaluator::AppendOverlayMatches(const goddag::OverlayView& view,
            ++id) {
         if (id == exclude) continue;
         const GNode& node = overlay->node(id);
-        if (test != nullptr && !test->Matches(node)) continue;
+        if (!test.Matches(node)) continue;
         if (ExtendedAxisMatches(axis, context_range, node.range)) {
           out->push_back(id);
         }
@@ -318,8 +318,45 @@ void AxisEvaluator::EvaluateStandard(const goddag::OverlayView* view,
   }
 }
 
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnlyImpl(
-    const goddag::OverlayView* view, NodeId context, Axis axis) const {
+void AxisEvaluator::EvaluateExtended(const goddag::OverlayView* view,
+                                     const TextRange& context_range,
+                                     NodeId exclude, Axis axis,
+                                     const NodeTest& test, StepExec exec,
+                                     std::vector<NodeId>* out) const {
+  const bool pushdown = exec.pushdown && test.is_name();
+  uint32_t key = goddag::kNoNameKey;
+  if (pushdown) key = snapshot_->stats().name_key(test.name());
+  // A pushed-down name no live base element bears leaves the base half
+  // empty by the statistics alone. Scans run the vectorized RangeSoA
+  // kernels; they decline only when the packed layout does not apply (text
+  // beyond INT32_MAX), and the index probe then returns the same node set.
+  if (!pushdown || key != goddag::kNoNameKey) {
+    if (exec.use_index ||
+        !ScanExtendedAxis(snapshot_->stats().soa(), axis, context_range,
+                          exclude, key, KernelIsa::kAuto, out)) {
+      goddag::ProbeFilter filter;
+      if (pushdown) filter = {snapshot_->stats().node_name_keys().data(), key};
+      EvaluateExtendedIndexed(context_range, exclude, axis, filter, out);
+    }
+  }
+  // Base hits are live elements, which any-node tests always pass; only an
+  // un-pushed name test still needs a filter.
+  if (!pushdown && test.is_name()) {
+    out->erase(std::remove_if(out->begin(), out->end(),
+                              [this, &test](NodeId id) {
+                                return !test.Matches(goddag_->node(id));
+                              }),
+               out->end());
+  }
+  if (view != nullptr) {
+    AppendOverlayMatches(*view, axis, context_range, exclude, test, out);
+  }
+}
+
+std::vector<NodeId> AxisEvaluator::EvaluateNode(const goddag::OverlayView* view,
+                                                NodeId context, Axis axis,
+                                                const NodeTest& test,
+                                                StepExec exec) const {
   std::vector<NodeId> out;
   if (goddag::IsOverlayId(context)) {
     if (view == nullptr || view->overlay_of(context) == nullptr) return out;
@@ -329,131 +366,38 @@ std::vector<NodeId> AxisEvaluator::EvaluateAxisOnlyImpl(
   const GNode& context_node = NodeAt(view, context);
   if (context_node.kind == GNodeKind::kFree) return out;
   if (IsExtendedAxis(axis)) {
-    EvaluateExtendedIndexed(context_node.range, context, axis, {}, &out);
-    if (view != nullptr) {
-      AppendOverlayMatches(*view, axis, context_node.range, context,
-                           /*test=*/nullptr, &out);
-    }
+    EvaluateExtended(view, context_node.range, context, axis, test, exec,
+                     &out);
   } else {
     EvaluateStandard(view, context, axis, &out);
+    out.erase(std::remove_if(out.begin(), out.end(),
+                             [this, view, &test](NodeId id) {
+                               return !test.Matches(NodeAt(view, id));
+                             }),
+              out.end());
   }
   NormalizeDocumentOrder(view, &out);
   return out;
 }
 
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(NodeId context,
-                                                    Axis axis) const {
-  return EvaluateAxisOnlyImpl(nullptr, context, axis);
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluateAxisOnly(
-    const goddag::OverlayView& view, NodeId context, Axis axis) const {
-  return EvaluateAxisOnlyImpl(&view, context, axis);
+std::vector<NodeId> AxisEvaluator::Evaluate(const goddag::OverlayView& view,
+                                            NodeId context, Axis axis,
+                                            const NodeTest& test,
+                                            StepExec exec) const {
+  return EvaluateNode(&view, context, axis, test, exec);
 }
 
 std::vector<NodeId> AxisEvaluator::Evaluate(NodeId context, Axis axis,
                                             const NodeTest& test) const {
-  std::vector<NodeId> out = EvaluateAxisOnlyImpl(nullptr, context, axis);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [this, &test](NodeId id) {
-                             return !test.Matches(goddag_->node(id));
-                           }),
-            out.end());
-  return out;
-}
-
-std::vector<NodeId> AxisEvaluator::Evaluate(const goddag::OverlayView& view,
-                                            NodeId context, Axis axis,
-                                            const NodeTest& test) const {
-  std::vector<NodeId> out = EvaluateAxisOnlyImpl(&view, context, axis);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&view, &test](NodeId id) {
-                             return !test.Matches(view.node(id));
-                           }),
-            out.end());
-  return out;
+  return EvaluateNode(nullptr, context, axis, test, StepExec{});
 }
 
 std::vector<NodeId> AxisEvaluator::EvaluateRange(
-    const goddag::OverlayView& view, const TextRange& context,
-    Axis axis) const {
+    const goddag::OverlayView& view, const TextRange& range, Axis axis,
+    const NodeTest& test, StepExec exec) const {
   std::vector<NodeId> out;
-  EvaluateExtendedIndexed(context, kInvalidNode, axis, {}, &out);
-  AppendOverlayMatches(view, axis, context, kInvalidNode, /*test=*/nullptr,
-                       &out);
-  return out;
-}
-
-bool AxisEvaluator::EvaluateExtendedPlannedBase(
-    const TextRange& context_range, NodeId exclude, Axis axis,
-    const NodeTest& test, const StepExec& exec,
-    std::vector<NodeId>* out) const {
-  const goddag::SnapshotStats& stats = snapshot_->stats();
-  const bool pushdown = exec.pushdown && test.is_name();
-  const uint32_t key =
-      pushdown ? stats.name_key(test.name()) : goddag::kNoNameKey;
-  if (pushdown && key == goddag::kNoNameKey) {
-    // No live base element bears this name: the base half is empty by the
-    // statistics alone (overlay hits are the caller's job).
-    return true;
-  }
-  // Scan side: the vectorized RangeSoA kernels. They decline only when the
-  // packed layout does not apply (text beyond INT32_MAX); the index probe
-  // below then returns the same node set.
-  if (!exec.use_index && ScanExtendedAxis(stats.soa(), axis, context_range,
-                                          exclude, key, KernelIsa::kAuto,
-                                          out)) {
-    return pushdown;
-  }
-  goddag::ProbeFilter filter;
-  if (pushdown) filter = {stats.node_name_keys().data(), key};
-  EvaluateExtendedIndexed(context_range, exclude, axis, filter, out);
-  return pushdown;
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluatePlanned(
-    const goddag::OverlayView& view, NodeId context, Axis axis,
-    const NodeTest& test, const StepExec& exec) const {
-  if (!IsExtendedAxis(axis)) return Evaluate(view, context, axis, test);
-  std::vector<NodeId> out;
-  if (goddag::IsOverlayId(context)) {
-    if (view.overlay_of(context) == nullptr) return out;
-  } else if (context >= goddag_->node_table_size()) {
-    return out;
-  }
-  const GNode& context_node = view.node(context);
-  if (context_node.kind == GNodeKind::kFree) return out;
-  const bool base_filtered = EvaluateExtendedPlannedBase(
-      context_node.range, context, axis, test, exec, &out);
-  if (!base_filtered) {
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [this, &test](NodeId id) {
-                               return !test.Matches(goddag_->node(id));
-                             }),
-              out.end());
-  }
-  AppendOverlayMatches(view, axis, context_node.range, context, &test, &out);
-  // Filtering before the sort returns the same bytes as Evaluate's
-  // sort-then-filter: the comparator is a strict total order and removal
-  // is subset-stable.
+  EvaluateExtended(&view, range, kInvalidNode, axis, test, exec, &out);
   NormalizeDocumentOrder(&view, &out);
-  return out;
-}
-
-std::vector<NodeId> AxisEvaluator::EvaluateRangePlanned(
-    const goddag::OverlayView& view, const TextRange& context, Axis axis,
-    const NodeTest& test, const StepExec& exec) const {
-  std::vector<NodeId> out;
-  const bool base_filtered = EvaluateExtendedPlannedBase(
-      context, kInvalidNode, axis, test, exec, &out);
-  if (!base_filtered) {
-    out.erase(std::remove_if(out.begin(), out.end(),
-                             [this, &test](NodeId id) {
-                               return !test.Matches(goddag_->node(id));
-                             }),
-              out.end());
-  }
-  AppendOverlayMatches(view, axis, context, kInvalidNode, &test, &out);
   return out;
 }
 

@@ -957,35 +957,17 @@ class Evaluator {
     for (; step_index < path.steps.size(); ++step_index) {
       const PathStep& step = path.steps[step_index];
       // Predicates are positional *per context node* (XPath semantics):
-      // each context's step result is ordered and filtered on its own, and
-      // only then merged. Every producer declares an xpath::Ordering for its
-      // run; the declared guarantee replaces the former unconditional
-      // sort+dedup with the cheapest sufficient fix-up — nothing, a linear
-      // dedup, or (across runs) a linear k-way merge. PlanMode::kForceSort
-      // restores brute force so tests can pin equivalence.
+      // each context's step result is filtered on its own, and only then
+      // merged. Every run already arrives in document order without
+      // duplicates — the axis layer normalises node results, and the leaf
+      // partition is sorted — so the merge is the step loop's only
+      // ordering work.
       std::vector<Sequence> runs;
       runs.reserve(current.size());
       for (const Item& item : current) {
         Sequence from_item;
-        xpath::Ordering ordering = xpath::Ordering::kUnordered;
-        MHX_RETURN_IF_ERROR(
-            EvalStep(item, step, path.offset, &from_item, &ordering));
-        if (options_->plan_mode == PlanMode::kForceSort) {
-          SortAndDedup(&from_item);
-        } else {
-          switch (ordering) {
-            case xpath::Ordering::kDocOrderNoDupes:
-              NoteSortSkipped(from_item);
-              break;
-            case xpath::Ordering::kSortedMayDupe:
-              DedupSorted(&from_item);
-              NoteSortSkipped(from_item);
-              break;
-            case xpath::Ordering::kUnordered:
-              SortAndDedup(&from_item);
-              break;
-          }
-        }
+        MHX_RETURN_IF_ERROR(EvalStep(item, step, path.offset, &from_item));
+        NoteSortSkipped(from_item);
         // Predicates only filter, so document order and uniqueness survive.
         MHX_RETURN_IF_ERROR(ApplyPredicates(step, path.offset, &from_item));
         runs.push_back(std::move(from_item));
@@ -997,29 +979,16 @@ class Evaluator {
 
   // Merges per-context runs — each in document order without duplicates —
   // into one such sequence. One run passes through untouched; k runs pay a
-  // heap-driven linear merge, whose raw output is kSortedMayDupe (distinct
-  // contexts can reach the same node) until the final linear dedup. Both
-  // paths replace the step loop's former full sort.
+  // heap-driven linear merge, whose raw output may repeat items (distinct
+  // contexts can reach the same node) until the final linear dedup.
   Sequence MergeDocOrderedRuns(std::vector<Sequence> runs) {
     runs.erase(std::remove_if(runs.begin(), runs.end(),
                               [](const Sequence& s) { return s.empty(); }),
                runs.end());
     if (runs.empty()) return {};
     if (runs.size() == 1) {
-      if (options_->plan_mode == PlanMode::kForceSort) {
-        SortAndDedup(&runs.front());
-      } else {
-        NoteSortSkipped(runs.front());
-      }
+      NoteSortSkipped(runs.front());
       return std::move(runs.front());
-    }
-    if (options_->plan_mode == PlanMode::kForceSort) {
-      Sequence merged;
-      for (Sequence& run : runs) {
-        std::move(run.begin(), run.end(), std::back_inserter(merged));
-      }
-      SortAndDedup(&merged);
-      return merged;
     }
     size_t total = 0;
     for (const Sequence& run : runs) total += run.size();
@@ -1089,13 +1058,12 @@ class Evaluator {
     return OkStatus();
   }
 
-  // Evaluates one axis step from one context item, declaring via `ordering`
-  // what the produced run guarantees (filters below never disturb an
-  // already-established order, they only remove items).
+  // Evaluates one axis step from one context item into a document-ordered
+  // run without duplicates (the filter below only removes items).
   Status EvalStep(const Item& item, const PathStep& step, size_t offset,
-                  Sequence* out, xpath::Ordering* ordering) {
+                  Sequence* out) {
     if (step.test == PathStep::Test::kLeaf) {
-      return EvalLeafStep(item, step, offset, out, ordering);
+      return EvalLeafStep(item, step, offset, out);
     }
     xpath::NodeTest test = step.test == PathStep::Test::kName
                                ? xpath::NodeTest::Name(step.name)
@@ -1103,26 +1071,16 @@ class Evaluator {
     std::vector<goddag::NodeId> ids;
     if (item.kind == Item::Kind::kNode) {
       // One uniform read through the overlay view: base index (or arcs)
-      // plus overlay scan, normalised to document order by the evaluator.
-      // Extended axes run the planned strategy — indexed probe vs.
-      // vectorized scan, name test pushed into either — except under
-      // kForceSort, which keeps the unplanned brute-force path as the
-      // byte-identity baseline.
-      if (xpath::IsExtendedAxis(step.axis) &&
-          options_->plan_mode != PlanMode::kForceSort) {
-        const xpath::StepExec exec = StepExecFor(step);
-        ids = axes_.EvaluatePlanned(*view_, item.node, step.axis, test, exec);
-        NotePlannedStep(exec, test);
-      } else {
-        ids = axes_.Evaluate(*view_, item.node, step.axis, test);
-      }
-      *ordering = xpath::AxisEvaluator::ResultOrdering(step.axis);
+      // plus overlay scan. Extended axes run the planned strategy —
+      // indexed probe vs. vectorized scan, name test pushed into either.
+      const bool extended = xpath::IsExtendedAxis(step.axis);
+      const xpath::StepExec exec = extended ? StepExecFor(step)
+                                            : xpath::StepExec{};
+      ids = axes_.Evaluate(*view_, item.node, step.axis, test, exec);
+      if (extended) NotePlannedStep(exec, test);
     } else if (item.kind == Item::Kind::kLeaf) {
       MHX_RETURN_IF_ERROR(
           LeafContextStep(item.range, step, test, offset, &ids));
-      // RangeIndex traversal (plus any overlay tail) comes back in index
-      // order, not document order.
-      *ordering = xpath::Ordering::kUnordered;
     } else {
       return EvalErrorAt(offset, "path step over an atomic value");
     }
@@ -1149,7 +1107,6 @@ class Evaluator {
       case PlanMode::kForceNaive:
         return {/*use_index=*/false, /*pushdown=*/false};
       case PlanMode::kForceIndexed:
-      case PlanMode::kForceSort:
         return {/*use_index=*/true, /*pushdown=*/false};
       case PlanMode::kAuto:
         break;
@@ -1173,65 +1130,32 @@ class Evaluator {
     }
   }
 
-  // Axis evaluation from a leaf context. A leaf belongs to every hierarchy,
-  // so `ancestor` coincides with `xancestor` (nodes whose range contains the
-  // leaf); the ordering and overlap axes reduce to range queries. A node
+  // Axis evaluation from a leaf context: the step's axis reduces to an
+  // extended axis over the leaf's range (xpath::LeafContextAxis). A node
   // properly overlapping a leaf cannot exist (its boundary would have split
   // the leaf), so `overlapping` is always empty — computed anyway for
-  // uniformity. Output comes back filtered by `test`: the planned path
-  // pre-filters inside the probe/kernel, the kForceSort path
-  // re-filters here, so callers never re-test.
+  // uniformity.
   Status LeafContextStep(const TextRange& range, const PathStep& step,
                          const xpath::NodeTest& test, size_t offset,
                          std::vector<goddag::NodeId>* ids) {
-    const xpath::Axis axis = step.axis;
-    xpath::Axis extended;
-    switch (axis) {
-      case xpath::Axis::kAncestor:
-      case xpath::Axis::kAncestorOrSelf:
-      case xpath::Axis::kXAncestor:
-        extended = xpath::Axis::kXAncestor;
-        break;
-      case xpath::Axis::kXDescendant:
-        extended = xpath::Axis::kXDescendant;
-        break;
-      case xpath::Axis::kOverlapping:
-        extended = xpath::Axis::kOverlapping;
-        break;
-      case xpath::Axis::kFollowing:
-      case xpath::Axis::kXFollowing:
-        extended = xpath::Axis::kXFollowing;
-        break;
-      case xpath::Axis::kPreceding:
-      case xpath::Axis::kXPreceding:
-        extended = xpath::Axis::kXPreceding;
-        break;
-      default:
-        return EvalErrorAt(offset, "axis " +
-                                       std::string(xpath::AxisName(axis)) +
-                                       " cannot start from a leaf");
+    const std::optional<xpath::Axis> extended =
+        xpath::LeafContextAxis(step.axis);
+    if (!extended) {
+      return EvalErrorAt(offset, "axis " +
+                                     std::string(xpath::AxisName(step.axis)) +
+                                     " cannot start from a leaf");
     }
-    if (options_->plan_mode == PlanMode::kForceSort) {
-      *ids = axes_.EvaluateRange(*view_, range, extended);
-      ids->erase(std::remove_if(ids->begin(), ids->end(),
-                                [&](goddag::NodeId id) {
-                                  return !test.Matches(view_->node(id));
-                                }),
-                 ids->end());
-    } else {
-      const xpath::StepExec exec = StepExecFor(step);
-      *ids = axes_.EvaluateRangePlanned(*view_, range, extended, test, exec);
-      NotePlannedStep(exec, test);
-    }
+    const xpath::StepExec exec = StepExecFor(step);
+    *ids = axes_.EvaluateRange(*view_, range, *extended, test, exec);
+    NotePlannedStep(exec, test);
     return OkStatus();
   }
 
   Status EvalLeafStep(const Item& item, const PathStep& step, size_t offset,
-                      Sequence* out, xpath::Ordering* ordering) {
+                      Sequence* out) {
     // Every production below emits leaves ascending by range with no
     // repeats: the shared leaf partition is sorted, and child-axis
     // filtering only removes items.
-    *ordering = xpath::Ordering::kDocOrderNoDupes;
     switch (step.axis) {
       case xpath::Axis::kSelf:
         if (item.kind == Item::Kind::kLeaf) out->push_back(item);
@@ -1302,8 +1226,7 @@ class Evaluator {
   }
 
   // Collapses duplicates (same node / same leaf reached from several context
-  // items) in an already document-ordered sequence — the linear fix-up for
-  // xpath::Ordering::kSortedMayDupe.
+  // items) in an already document-ordered sequence.
   void DedupSorted(Sequence* items) const {
     items->erase(std::unique(items->begin(), items->end(),
                              [](const Item& a, const Item& b) {
@@ -1314,15 +1237,6 @@ class Evaluator {
                                return a.range == b.range;
                              }),
                  items->end());
-  }
-
-  // Full normalisation for xpath::Ordering::kUnordered producers.
-  void SortAndDedup(Sequence* items) const {
-    std::sort(items->begin(), items->end(),
-              [this](const Item& a, const Item& b) {
-                return DocOrderKey(a) < DocOrderKey(b);
-              });
-    DedupSorted(items);
   }
 
   // --- functions -----------------------------------------------------------

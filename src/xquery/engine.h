@@ -133,7 +133,7 @@ struct QueryOptions {
   // Physical-plan selection for path steps (see PlanMode): kAuto runs the
   // cost-based planner against the pinned snapshot's statistics; the force
   // modes pin one strategy everywhere. Every mode returns byte-identical
-  // results — the batteries in parallel_query_test hold them to it.
+  // results — the reference-evaluator batteries hold them to it.
   PlanMode plan_mode = PlanMode::kAuto;
   // When set, the evaluation records stage spans (plan lookup, index
   // materialisation, evaluation, serialisation) and — for parallel loops —
@@ -319,11 +319,11 @@ class Engine {
   // evaluation).
   size_t temporary_hierarchy_count() const;
 
-  // Path-step sort+dedup passes the step loop skipped because an ordering
-  // guarantee (xpath::Ordering) made them unnecessary — replaced by nothing
-  // (single sorted run) or by a linear merge. Monotonic; thin read over the
-  // obs::Counter (shared across engines when a corpus injected one),
-  // surfaced by bench_xquery.
+  // Path-step sort+dedup passes the step loop skipped: every per-context
+  // run of 2+ items (the axis layer already returns document order) and
+  // every multi-item merge of runs (a linear merge, not a sort). Monotonic;
+  // thin read over the obs::Counter (shared across engines when a corpus
+  // injected one), surfaced by bench_xquery.
   size_t sorts_skipped() const {
     return static_cast<size_t>(counters_->sorts_skipped.value());
   }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "xpath/kernels.h"
@@ -21,36 +22,6 @@ namespace {
 constexpr double kProbeCost = 4.0;
 constexpr double kSoaScanCost = 0.05;
 constexpr double kScalarScanCost = 1.0;
-
-// The extended axis a step reduces to when evaluated from a leaf context
-// (mirrors the engine's LeafContextStep mapping), or the step's own axis
-// when already extended. Returns false for axes the planner has no
-// strategy choice for (pure tree walks).
-bool ExtendedEquivalent(xpath::Axis axis, xpath::Axis* extended) {
-  switch (axis) {
-    case xpath::Axis::kAncestor:
-    case xpath::Axis::kAncestorOrSelf:
-    case xpath::Axis::kXAncestor:
-      *extended = xpath::Axis::kXAncestor;
-      return true;
-    case xpath::Axis::kXDescendant:
-      *extended = xpath::Axis::kXDescendant;
-      return true;
-    case xpath::Axis::kOverlapping:
-      *extended = xpath::Axis::kOverlapping;
-      return true;
-    case xpath::Axis::kFollowing:
-    case xpath::Axis::kXFollowing:
-      *extended = xpath::Axis::kXFollowing;
-      return true;
-    case xpath::Axis::kPreceding:
-    case xpath::Axis::kXPreceding:
-      *extended = xpath::Axis::kXPreceding;
-      return true;
-    default:
-      return false;
-  }
-}
 
 // Expected base hits of one extended-axis evaluation from a typical
 // context, before any name-test selectivity.
@@ -115,13 +86,16 @@ void PlanStep(const PathStep& step, const goddag::SnapshotStats& stats,
   StepPlan sp;
   bool interesting = false;
 
-  xpath::Axis extended;
-  if (step.primary == nullptr && ExtendedEquivalent(step.axis, &extended)) {
+  // A step has a strategy choice when its axis is extended or reduces to
+  // one from a leaf context; pure tree walks have none.
+  const std::optional<xpath::Axis> extended =
+      xpath::LeafContextAxis(step.axis);
+  if (step.primary == nullptr && extended) {
     interesting = true;
     const double table = static_cast<double>(stats.node_table_size());
     const double elements =
         static_cast<double>(std::max<size_t>(stats.element_count(), 1));
-    double est = EstimateHits(extended, stats);
+    double est = EstimateHits(*extended, stats);
     sp.exec.pushdown = step.test == PathStep::Test::kName;
     if (sp.exec.pushdown) {
       est *= static_cast<double>(stats.name_count(step.name)) / elements;
@@ -191,8 +165,7 @@ void RenderSteps(const AstNode& node, const QueryPlan& plan,
           *out << "leaf()";
           break;
       }
-      xpath::Axis extended;
-      if (ExtendedEquivalent(step.axis, &extended)) {
+      if (xpath::LeafContextAxis(step.axis)) {
         const StepPlan* sp = it != plan.steps.end() ? &it->second : nullptr;
         const bool use_index = sp == nullptr || sp->exec.use_index;
         *out << " strategy=" << (use_index ? "indexed" : "scan");
@@ -231,8 +204,6 @@ std::string_view PlanModeName(PlanMode mode) {
       return "force-naive";
     case PlanMode::kForceIndexed:
       return "force-indexed";
-    case PlanMode::kForceSort:
-      return "force-sort";
   }
   return "unknown";
 }

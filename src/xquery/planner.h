@@ -4,8 +4,10 @@
 // that annotates each path step with a physical choice, driven by the
 // pinned snapshot's goddag::SnapshotStats. Three decisions per step:
 //
-//   * indexed probe vs. full scan for the extended axes — cost model
-//     below, evaluated against real per-snapshot statistics;
+//   * indexed probe vs. full scan for the extended axes, and for the
+//     standard axes a leaf context reduces to one of them
+//     (xpath::LeafContextAxis) — cost model below, evaluated against real
+//     per-snapshot statistics;
 //   * predicate pushdown — a name test folds into the RangeIndex probe or
 //     scan kernel as an interned-key compare, filtering candidates before
 //     they materialise;
@@ -27,9 +29,10 @@
 // flip to the SIMD scan.
 //
 // Plans are performance-only: every choice returns byte-identical results
-// (the planned-vs-forced test battery pins this), so a stale plan is
-// merely slower, never wrong. PlanCache::PlanFor caches one plan per
-// (expr, document, snapshot version) — hot traffic replans only on commit.
+// (the reference-evaluator batteries pin every plan mode to the same
+// oracle answer), so a stale plan is merely slower, never wrong.
+// PlanCache::PlanFor caches one plan per (expr, document, snapshot
+// version) — hot traffic replans only on commit.
 
 #ifndef MHX_XQUERY_PLANNER_H_
 #define MHX_XQUERY_PLANNER_H_
@@ -46,14 +49,13 @@
 namespace mhx::xquery {
 
 // Which physical plan an evaluation runs. kAuto is the planner; the force
-// modes pin one strategy for tests, benches, and the byte-identity
-// batteries (QueryOptions::plan_mode).
+// modes pin one strategy for tests and benches (QueryOptions::plan_mode).
+// Every mode returns the same results, which the reference-evaluator
+// batteries check against an independent oracle.
 enum class PlanMode {
   kAuto,          // planner-chosen per step (the default)
   kForceNaive,    // every extended-axis step scans; no pushdown
   kForceIndexed,  // every extended-axis step probes the index; no pushdown
-  kForceSort,     // brute force: indexed, plus re-sort+dedup after every
-                  // step — the byte-identity baseline
 };
 
 std::string_view PlanModeName(PlanMode mode);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,7 @@ TEST_F(PaperAxesTest, XAncestorSeesAcrossHierarchies) {
   AxisEvaluator axes(snapshot_.get());
   // "eac" [33,36) sits inside dmg [30,38), line-crossing damage.
   NodeId eac = FindElement(kg, 1, "w", "eac");
-  auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kXAncestor);
+  auto ancestors = axes.Evaluate(eac, Axis::kXAncestor, NodeTest::Any());
   std::vector<std::string> names = Names(kg, ancestors);
   // Own chain: text, s; physical: sheet, page; condition: cond, dmg;
   // restoration: rest.
@@ -119,40 +120,41 @@ TEST_F(PaperAxesTest, OrderingAxes) {
 TEST_F(PaperAxesTest, StandardAxes) {
   const KyGoddag& kg = snapshot_->goddag();
   AxisEvaluator axes(snapshot_.get());
+  const NodeTest any = NodeTest::Any();
   NodeId root = kg.root();
-  auto all = axes.EvaluateAxisOnly(root, Axis::kDescendant);
+  auto all = axes.Evaluate(root, Axis::kDescendant, any);
   EXPECT_EQ(all.size(), kg.element_count());
   NodeId eac = FindElement(kg, 1, "w", "eac");
-  auto parent = axes.EvaluateAxisOnly(eac, Axis::kParent);
+  auto parent = axes.Evaluate(eac, Axis::kParent, any);
   ASSERT_EQ(parent.size(), 1u);
   EXPECT_EQ(kg.node(parent[0]).name, "s");
-  auto ancestors = axes.EvaluateAxisOnly(eac, Axis::kAncestor);
+  auto ancestors = axes.Evaluate(eac, Axis::kAncestor, any);
   // s, text, GODDAG root — never crosses into other hierarchies.
   EXPECT_EQ(ancestors.size(), 3u);
-  auto siblings = axes.EvaluateAxisOnly(eac, Axis::kFollowingSibling);
+  auto siblings = axes.Evaluate(eac, Axis::kFollowingSibling, any);
   EXPECT_EQ(Names(kg, siblings),
             (std::vector<std::string>{"w", "w", "w"}));  // swa some wyrd
-  auto preceding_siblings = axes.EvaluateAxisOnly(eac, Axis::kPrecedingSibling);
+  auto preceding_siblings = axes.Evaluate(eac, Axis::kPrecedingSibling, any);
   EXPECT_EQ(preceding_siblings.size(), 1u);  // and
-  auto self = axes.EvaluateAxisOnly(eac, Axis::kSelf);
+  auto self = axes.Evaluate(eac, Axis::kSelf, any);
   EXPECT_EQ(self, std::vector<NodeId>{eac});
   // Standard following stays within the hierarchy.
-  auto following = axes.EvaluateAxisOnly(eac, Axis::kFollowing);
+  auto following = axes.Evaluate(eac, Axis::kFollowing, any);
   for (NodeId id : following) {
     EXPECT_EQ(kg.node(id).hierarchy, kg.node(eac).hierarchy);
   }
 }
 
 // The literal Definition-1 answer, written independently of the evaluator:
-// every element of the base table and of the view's overlays (the context
-// excluded) whose range stands in `axis` relation to the context's and
-// that passes `test`, in document order (range, then id).
-std::vector<NodeId> DefinitionOne(const OverlayView& view, NodeId context,
+// every element of the base table and of the view's overlays (`exclude`
+// aside) whose range stands in `axis` relation to `range` and that passes
+// `test`, in document order (range, then id).
+std::vector<NodeId> DefinitionOne(const OverlayView& view,
+                                  const TextRange& range, NodeId exclude,
                                   Axis axis, const NodeTest& test) {
-  const TextRange range = view.node(context).range;
   std::vector<NodeId> out;
   auto consider = [&](NodeId id, const GNode& node) {
-    if (id != context && node.kind == GNodeKind::kElement &&
+    if (id != exclude && node.kind == GNodeKind::kElement &&
         test.Matches(node) && ExtendedAxisMatches(axis, range, node.range)) {
       out.push_back(id);
     }
@@ -172,6 +174,11 @@ std::vector<NodeId> DefinitionOne(const OverlayView& view, NodeId context,
     return ra != rb ? ra < rb : a < b;
   });
   return out;
+}
+
+std::vector<NodeId> DefinitionOne(const OverlayView& view, NodeId context,
+                                  Axis axis, const NodeTest& test) {
+  return DefinitionOne(view, view.node(context).range, context, axis, test);
 }
 
 // Every element context the view can name: the base table's, then the
@@ -204,27 +211,46 @@ void ExpectAgreeInView(const AxisEvaluator& axes, const OverlayView& view) {
         };
         EXPECT_EQ(axes.Evaluate(view, id, axis, test), expected) << where();
         for (bool pushdown : {false, true}) {
-          EXPECT_EQ(axes.EvaluatePlanned(view, id, axis, test,
-                                         StepExec{/*use_index=*/false,
-                                                  pushdown}),
+          EXPECT_EQ(axes.Evaluate(view, id, axis, test,
+                                  StepExec{/*use_index=*/false, pushdown}),
                     expected)
               << "scan, pushdown " << pushdown << ", " << where();
-          EXPECT_EQ(axes.EvaluatePlanned(view, id, axis, test,
-                                         StepExec{/*use_index=*/true,
-                                                  pushdown}),
+          EXPECT_EQ(axes.Evaluate(view, id, axis, test,
+                                  StepExec{/*use_index=*/true, pushdown}),
                     expected)
               << "probe, pushdown " << pushdown << ", " << where();
         }
       }
     }
   }
+  // Leaf contexts: every cell of the view's partition as a bare range, no
+  // node excluded, normalised to document order like node contexts.
+  std::vector<goddag::Leaf> leaves;
+  view.AppendLeavesIn(TextRange(0, view.base_text().size()), &leaves);
+  ASSERT_FALSE(leaves.empty());
+  for (const goddag::Leaf& leaf : leaves) {
+    for (Axis axis : kExtendedAxes) {
+      for (const NodeTest& test : tests) {
+        const std::vector<NodeId> expected = DefinitionOne(
+            view, leaf.range, goddag::kInvalidNode, axis, test);
+        for (bool use_index : {false, true}) {
+          EXPECT_EQ(axes.EvaluateRange(view, leaf.range, axis, test,
+                                       StepExec{use_index, test.is_name()}),
+                    expected)
+              << "leaf " << leaf.range.ToString() << " axis "
+              << AxisName(axis) << " index " << use_index;
+        }
+      }
+    }
+  }
 }
 
-// The tentpole equivalence: the planned scan, the planned probe and the
-// unplanned evaluation must each return the literal Definition-1 node set
-// for every extended axis and every element context — over the base
-// document alone, and through an overlay view that adds a temporary
-// hierarchy (whose elements then serve as contexts too).
+// The strategy equivalence: the scan and the probe, each with and without
+// pushdown, and the default exec must each return the literal
+// Definition-1 node set for every extended axis, every element context and
+// every leaf range — over the base document alone, and through an overlay
+// view that adds a temporary hierarchy (whose elements then serve as
+// contexts too).
 void ExpectScanProbeAndDefinitionAgree(
     const goddag::DocumentSnapshot& snapshot) {
   const KyGoddag& kg = snapshot.goddag();
@@ -294,6 +320,47 @@ TEST(AxisNameTest, RoundTrips) {
   EXPECT_FALSE(AxisFromName("sideways").ok());
   EXPECT_TRUE(IsExtendedAxis(Axis::kOverlapping));
   EXPECT_FALSE(IsExtendedAxis(Axis::kDescendant));
+}
+
+// The one leaf-context axis mapping, shared by the engine and the planner:
+// which axes reduce to which extended axis, and that every other axis makes
+// the engine refuse the step.
+TEST_F(PaperAxesTest, LeafContextAxisMappingMatchesEngine) {
+  const struct {
+    Axis axis;
+    std::optional<Axis> extended;
+  } kCases[] = {
+      {Axis::kSelf, std::nullopt},
+      {Axis::kChild, std::nullopt},
+      {Axis::kParent, std::nullopt},
+      {Axis::kDescendant, std::nullopt},
+      {Axis::kDescendantOrSelf, std::nullopt},
+      {Axis::kAncestor, Axis::kXAncestor},
+      {Axis::kAncestorOrSelf, Axis::kXAncestor},
+      {Axis::kFollowingSibling, std::nullopt},
+      {Axis::kPrecedingSibling, std::nullopt},
+      {Axis::kFollowing, Axis::kXFollowing},
+      {Axis::kPreceding, Axis::kXPreceding},
+      {Axis::kXAncestor, Axis::kXAncestor},
+      {Axis::kXDescendant, Axis::kXDescendant},
+      {Axis::kOverlapping, Axis::kOverlapping},
+      {Axis::kXFollowing, Axis::kXFollowing},
+      {Axis::kXPreceding, Axis::kXPreceding},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(LeafContextAxis(c.axis), c.extended) << AxisName(c.axis);
+    const std::string query =
+        "/descendant::leaf()/" + std::string(AxisName(c.axis)) + "::*";
+    auto out = doc_->Query(query);
+    if (c.extended) {
+      EXPECT_TRUE(out.ok()) << query << ": " << out.status();
+    } else {
+      ASSERT_FALSE(out.ok()) << query;
+      EXPECT_NE(out.status().message().find("cannot start from a leaf"),
+                std::string::npos)
+          << query << ": " << out.status();
+    }
+  }
 }
 
 }  // namespace

@@ -274,6 +274,7 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   auto ids = std::make_shared<OverlayIdAllocator>();
   OverlayView view(&kg);
   xpath::AxisEvaluator axes(snapshot.get());
+  const xpath::NodeTest any = xpath::NodeTest::Any();
 
   // The persistent <w> spanning "unawendendne" [9,21).
   NodeId word = kInvalidNode;
@@ -286,9 +287,7 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   ASSERT_NE(word, kInvalidNode);
 
   const size_t base_hits =
-      axes.Evaluate(view, word, xpath::Axis::kXDescendant,
-                    xpath::NodeTest::Any())
-          .size();
+      axes.Evaluate(view, word, xpath::Axis::kXDescendant, any).size();
   auto overlay = MustCreate(&kg, ids, "result",
                             {VirtualElement{"m", TextRange(9, 14), {}},
                              VirtualElement{"a", TextRange(11, 12), {}}});
@@ -297,7 +296,7 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
 
   // xdescendant from the base word now also sees both overlay elements —
   // in document order, with the base-only overload unchanged.
-  auto hits = axes.EvaluateAxisOnly(view, word, xpath::Axis::kXDescendant);
+  auto hits = axes.Evaluate(view, word, xpath::Axis::kXDescendant, any);
   EXPECT_EQ(hits.size(), base_hits + 2);
   EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end(),
                              [&](NodeId a, NodeId b) {
@@ -307,7 +306,7 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
                                }
                                return a < b;
                              }));
-  EXPECT_EQ(axes.EvaluateAxisOnly(word, xpath::Axis::kXDescendant).size(),
+  EXPECT_EQ(axes.Evaluate(word, xpath::Axis::kXDescendant, any).size(),
             base_hits);
 
   // From the overlay side: xancestor of <a> climbs into the base document.
@@ -318,14 +317,22 @@ TEST(OverlayViewTest, ExtendedAxesReadBaseIndexPlusOverlayScan) {
   EXPECT_EQ(ancestors[0], word);
 
   // The plumbing root never leaks into extended axes.
-  for (NodeId hit :
-       axes.EvaluateAxisOnly(view, word, xpath::Axis::kXAncestor)) {
+  for (NodeId hit : axes.Evaluate(view, word, xpath::Axis::kXAncestor, any)) {
     EXPECT_NE(hit, overlay->root());
   }
 
-  // EvaluateRange (leaf contexts): base index + overlay scan, unified.
+  // EvaluateRange (leaf contexts): base index + overlay scan, unified, and
+  // in document order like node contexts.
   auto range_hits =
-      axes.EvaluateRange(view, TextRange(11, 12), xpath::Axis::kXAncestor);
+      axes.EvaluateRange(view, TextRange(11, 12), xpath::Axis::kXAncestor, any);
+  EXPECT_TRUE(std::is_sorted(range_hits.begin(), range_hits.end(),
+                             [&](NodeId a, NodeId b) {
+                               if (view.node(a).range != view.node(b).range) {
+                                 return view.node(a).range <
+                                        view.node(b).range;
+                               }
+                               return a < b;
+                             }));
   EXPECT_NE(std::find(range_hits.begin(), range_hits.end(), m),
             range_hits.end());
   EXPECT_NE(std::find(range_hits.begin(), range_hits.end(), word),
@@ -344,19 +351,18 @@ TEST(OverlayViewTest, StandardAxesNavigateWithinTheOverlay) {
   view.AddOverlay(overlay);
   const NodeId first = overlay->elements_begin();
   const NodeId second = first + 1;
+  const xpath::NodeTest any = xpath::NodeTest::Any();
 
-  auto children = axes.EvaluateAxisOnly(view, overlay->root(),
-                                        xpath::Axis::kChild);
+  auto children =
+      axes.Evaluate(view, overlay->root(), xpath::Axis::kChild, any);
   EXPECT_EQ(children, (std::vector<NodeId>{first, second}));
   // following/preceding stay within the overlay "hierarchy".
-  auto following =
-      axes.EvaluateAxisOnly(view, first, xpath::Axis::kFollowing);
+  auto following = axes.Evaluate(view, first, xpath::Axis::kFollowing, any);
   EXPECT_EQ(following, (std::vector<NodeId>{second}));
-  auto preceding =
-      axes.EvaluateAxisOnly(view, second, xpath::Axis::kPreceding);
+  auto preceding = axes.Evaluate(view, second, xpath::Axis::kPreceding, any);
   EXPECT_EQ(preceding, (std::vector<NodeId>{first}));
   // ancestor climbs through the overlay root into the base GODDAG root.
-  auto ancestors = axes.EvaluateAxisOnly(view, first, xpath::Axis::kAncestor);
+  auto ancestors = axes.Evaluate(view, first, xpath::Axis::kAncestor, any);
   ASSERT_EQ(ancestors.size(), 2u);
   EXPECT_EQ(ancestors[0], kg.root());
   EXPECT_EQ(ancestors[1], overlay->root());
@@ -398,6 +404,7 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
   const KyGoddag& kg = snapshot->goddag();
   auto ids = std::make_shared<OverlayIdAllocator>();
   xpath::AxisEvaluator axes(snapshot.get());
+  const xpath::NodeTest any = xpath::NodeTest::Any();
 
   // Coordinator view with one overlay ("the evaluation so far").
   OverlayView coordinator(&kg);
@@ -431,16 +438,16 @@ TEST(OverlayViewTest, ForkedViewReadsThroughAndWritesPrivately) {
   // Axis scans walk the fork chain: from a base context inside [9,14),
   // xancestor sees the coordinator's m through the fork...
   auto hits = axes.EvaluateRange(worker, TextRange(11, 12),
-                                 xpath::Axis::kXAncestor);
+                                 xpath::Axis::kXAncestor, any);
   EXPECT_NE(std::find(hits.begin(), hits.end(), kept_m), hits.end());
   // ...and the fork's private element is invisible through the
   // coordinator's view.
   auto parent_hits = axes.EvaluateRange(coordinator, TextRange(25, 27),
-                                        xpath::Axis::kXAncestor);
+                                        xpath::Axis::kXAncestor, any);
   EXPECT_EQ(std::find(parent_hits.begin(), parent_hits.end(), private_a),
             parent_hits.end());
   auto fork_hits = axes.EvaluateRange(worker, TextRange(25, 27),
-                                      xpath::Axis::kXAncestor);
+                                      xpath::Axis::kXAncestor, any);
   EXPECT_NE(std::find(fork_hits.begin(), fork_hits.end(), private_a),
             fork_hits.end());
 

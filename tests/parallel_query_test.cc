@@ -5,12 +5,12 @@
 //    on the paper's Section 4 queries and on synthetic editions;
 //  * IsParallelSafe classifies side-effecting subtrees correctly;
 //  * concurrent doc->Query() calls on one document are safe;
-//  * the guarantee-driven step merge equals brute-force sort+dedup
-//    (PlanMode::kForceSort) for every axis;
-//  * every plan mode (kAuto / kForceNaive / kForceIndexed) is
-//    byte-identical to the kForceSort brute force across the axis battery
-//    and the Section 4 queries, at threads {1, 4, 8} — plans move cost,
-//    never results.
+//  * the step loop's merged, document-ordered result equals the reference
+//    evaluator's (reference_eval.h) item by item, for every axis;
+//  * every plan mode (kAuto / kForceNaive / kForceIndexed) returns the
+//    reference evaluator's answer across the axis battery, and the pinned
+//    Section 4 outputs, at threads {1, 4, 8} — plans move cost, never
+//    results.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "document.h"
+#include "reference_eval.h"
 #include "workload/generator.h"
 #include "workload/paper_data.h"
 #include "xquery/ast.h"
 #include "xquery/parser.h"
+#include "xquery/serialize.h"
 
 namespace mhx::xquery {
 namespace {
@@ -429,57 +431,77 @@ TEST_F(ParallelQueryTest, ConcurrentSafeAndTemporaryCreatingQueries) {
 // The shared axis battery: every axis (standard, extended, and the leaf()
 // node test), evaluated from many context nodes so the cross-context merge
 // runs — and so every planner strategy choice gets exercised.
-constexpr const char* kAxisBatteryQueries[] = {
-    "/descendant::w/self::w",
-    "/descendant::line/child::*",
-    "/descendant::w/parent::s",
-    "/descendant::s/descendant::w",
-    "/descendant::s/descendant-or-self::*",
-    "/descendant::w/ancestor::*",
-    "/descendant::w/ancestor-or-self::*",
-    "/descendant::w/following-sibling::w",
-    "/descendant::w/preceding-sibling::w",
-    "/descendant::w/following::w",
-    "/descendant::w/preceding::w",
-    "/descendant::w/xancestor::line",
-    "/descendant::line/xdescendant::w",
-    "/descendant::w/overlapping::line",
-    "/descendant::w/xfollowing::dmg",
-    "/descendant::w/xpreceding::res",
-    "/descendant::line/descendant::leaf()",
-    "/descendant::w/descendant::leaf()/ancestor::line",
-    "/descendant::dmg/xdescendant::w/xancestor::line",
-};
+std::vector<reference::Path> AxisBattery() {
+  using reference::S;
+  using xpath::Axis;
+  const Axis kD = Axis::kDescendant;
+  return {
+      {S(kD, "w"), S(Axis::kSelf, "w")},
+      {S(kD, "line"), S(Axis::kChild, "*")},
+      {S(kD, "w"), S(Axis::kParent, "s")},
+      {S(kD, "s"), S(kD, "w")},
+      {S(kD, "s"), S(Axis::kDescendantOrSelf, "*")},
+      {S(kD, "w"), S(Axis::kAncestor, "*")},
+      {S(kD, "w"), S(Axis::kAncestorOrSelf, "*")},
+      {S(kD, "w"), S(Axis::kFollowingSibling, "w")},
+      {S(kD, "w"), S(Axis::kPrecedingSibling, "w")},
+      {S(kD, "w"), S(Axis::kFollowing, "w")},
+      {S(kD, "w"), S(Axis::kPreceding, "w")},
+      {S(kD, "w"), S(Axis::kXAncestor, "line")},
+      {S(kD, "line"), S(Axis::kXDescendant, "w")},
+      {S(kD, "w"), S(Axis::kOverlapping, "line")},
+      {S(kD, "w"), S(Axis::kXFollowing, "dmg")},
+      {S(kD, "w"), S(Axis::kXPreceding, "res")},
+      {S(kD, "line"), S(kD, "leaf()")},
+      {S(kD, "w"), S(kD, "leaf()"), S(Axis::kAncestor, "line")},
+      {S(kD, "dmg"), S(Axis::kXDescendant, "w"), S(Axis::kXAncestor, "line")},
+  };
+}
 
-// The guarantee-driven path must serialise byte-identically to brute-force
-// sort+dedup.
+// The reference evaluator's answer for `path` on `doc`, one string per item.
+std::vector<std::string> OracleItems(const MultihierarchicalDocument& doc,
+                                     const reference::Path& path) {
+  const auto snapshot = doc.PinSnapshot();
+  const reference::ReferenceEvaluator oracle(snapshot->goddag());
+  auto items = oracle.Evaluate(path);
+  EXPECT_TRUE(items.ok()) << reference::Render(path) << "\n" << items.status();
+  return items.ok() ? oracle.SerializeAll(*items) : std::vector<std::string>{};
+}
+
+std::string Concat(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) out += item;
+  return out;
+}
+
+// The step loop's per-context runs, merged across contexts, must equal the
+// reference evaluator's document-ordered, duplicate-free answer item by
+// item.
 TEST_F(ParallelQueryTest, GuaranteeDrivenMergeMatchesBruteForcePerAxis) {
-  QueryOptions brute;
-  brute.plan_mode = PlanMode::kForceSort;
-  for (const char* query : kAxisBatteryQueries) {
-    EXPECT_EQ(MustQuery(*edition_, query, QueryOptions()),
-              MustQuery(*edition_, query, brute))
-        << query;
+  for (const reference::Path& path : AxisBattery()) {
+    const std::string query = reference::Render(path);
+    auto got = edition_->engine()->EvaluateKeepingTemporaries(query);
+    ASSERT_TRUE(got.ok()) << query << "\n" << got.status();
+    EXPECT_EQ(got->items, OracleItems(*edition_, path)) << query;
   }
 }
 
-// The planner's byte-identity contract: every plan mode — the cost-based
-// kAuto, both forced strategies, and the kForceSort brute force — produces
-// the same bytes for the whole axis battery, serial and fanned out. A plan is
-// allowed to move cost, never results.
+// The planner's contract: every plan mode — the cost-based kAuto and both
+// forced strategies — returns the reference evaluator's answer for the
+// whole axis battery, serial and fanned out. A plan is allowed to move
+// cost, never results.
 TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
-  QueryOptions brute;
-  brute.plan_mode = PlanMode::kForceSort;
   const PlanMode modes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
                             PlanMode::kForceIndexed};
-  for (const char* query : kAxisBatteryQueries) {
-    const std::string baseline = MustQuery(*edition_, query, brute);
+  for (const reference::Path& path : AxisBattery()) {
+    const std::string query = reference::Render(path);
+    const std::string expected = Concat(OracleItems(*edition_, path));
     for (PlanMode mode : modes) {
       for (unsigned threads : {1u, 4u}) {
         QueryOptions options;
         options.plan_mode = mode;
         options.threads = threads;
-        EXPECT_EQ(MustQuery(*edition_, query, options), baseline)
+        EXPECT_EQ(MustQuery(*edition_, query, options), expected)
             << query << "\nplan mode " << PlanModeName(mode) << " threads "
             << threads;
       }
@@ -488,23 +510,31 @@ TEST_F(ParallelQueryTest, PlanModesByteIdenticalAcrossAxesAndThreads) {
 }
 
 // Same contract on the paper's Section 4 queries, across fan-out widths:
-// the planned evaluation must reproduce the published outputs exactly.
+// the planned evaluation must reproduce the published outputs exactly
+// (II.1/III.1 after coalescing adjacent same-tag runs, as pinned).
 TEST_F(ParallelQueryTest, Section4QueriesPlanModeInvariantAcrossThreads) {
-  const char* queries[] = {workload::kQueryI1, workload::kQueryI2,
-                           workload::kQueryII1, workload::kQueryIII1Intent};
-  QueryOptions brute;
-  brute.plan_mode = PlanMode::kForceSort;
-  for (const char* query : queries) {
-    const std::string baseline = MustQuery(*paper_, query, brute);
+  const struct {
+    const char* query;
+    const char* expected;
+    bool coalesce;
+  } kPinned[] = {
+      {workload::kQueryI1, workload::kExpectedI1, false},
+      {workload::kQueryI2, workload::kExpectedI2, false},
+      {workload::kQueryII1, workload::kExpectedII1Coalesced, true},
+      {workload::kQueryIII1Intent, workload::kExpectedIII1IntentCoalesced,
+       true},
+  };
+  for (const auto& pinned : kPinned) {
     for (PlanMode mode :
          {PlanMode::kAuto, PlanMode::kForceNaive, PlanMode::kForceIndexed}) {
       for (unsigned threads : {1u, 4u, 8u}) {
         QueryOptions options;
         options.plan_mode = mode;
         options.threads = threads;
-        EXPECT_EQ(MustQuery(*paper_, query, options), baseline)
-            << query << "\nplan mode " << PlanModeName(mode) << " threads "
-            << threads;
+        const std::string got = MustQuery(*paper_, pinned.query, options);
+        EXPECT_EQ(pinned.coalesce ? CoalesceRuns(got) : got, pinned.expected)
+            << pinned.query << "\nplan mode " << PlanModeName(mode)
+            << " threads " << threads;
       }
     }
   }
@@ -515,16 +545,6 @@ TEST_F(ParallelQueryTest, LeafScanSkipsSorts) {
   auto out = edition_->Query("count(/descendant::leaf())");
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_GT(edition_->engine()->sorts_skipped(), before);
-}
-
-TEST_F(ParallelQueryTest, ForceStepSortSkipsNothing) {
-  QueryOptions brute;
-  brute.plan_mode = PlanMode::kForceSort;
-  // Prime the cache so the measured evaluation is the only variable.
-  ASSERT_TRUE(edition_->Query("/descendant::s/descendant::w", brute).ok());
-  const size_t before = edition_->engine()->sorts_skipped();
-  ASSERT_TRUE(edition_->Query("/descendant::s/descendant::w", brute).ok());
-  EXPECT_EQ(edition_->engine()->sorts_skipped(), before);
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST(PersistTest, PaperQueriesByteIdenticalAcrossPlanModesAndThreads) {
        true},
   };
   const PlanMode kModes[] = {PlanMode::kAuto, PlanMode::kForceNaive,
-                             PlanMode::kForceIndexed, PlanMode::kForceSort};
+                             PlanMode::kForceIndexed};
   for (const Pinned& p : kPinned) {
     for (PlanMode mode : kModes) {
       for (unsigned threads : {1u, 4u, 8u}) {

